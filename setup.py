@@ -1,20 +1,10 @@
 """Build script: compiles the optional fast scan kernel.
 
 The package works without the extension (a pure Python twin is selected at
-import time), so any failure to cythonize or compile is non-fatal.
+import time), so a failure to compile is non-fatal.  Build it in place with
+``python3 setup.py build_ext --inplace``.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/hurwitznum/_speed.pyx"],
-        compiler_directives={"language_level": "3", "boundscheck": False, "wraparound": False},
-    )
-except Exception as exc:  # pragma: no cover - depends on build host
-    print(f"skipping compiled kernel ({exc}); pure Python fallback will be used")
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("hurwitznum._speed", ["src/hurwitznum/_speed.c"], optional=True)])

@@ -3,9 +3,9 @@
 The hot loop of the oracle scans every fixed-point-free involution ``v`` of
 degree ``d`` and keeps those whose forced companion permutation has a
 prescribed cycle type while generating a transitive group together with the
-anchored permutation.  This module implements that scan in plain Python; the
-compiled module `_speed` implements the same contract, and `kernels` picks
-one at import time.
+anchored permutation.  This module implements that scan in plain Python and
+is the reference the compiled twin `_speed` (built from `_speed.c`) is
+tested against; `kernels` picks one at import time.
 """
 
 from __future__ import annotations

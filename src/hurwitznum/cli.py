@@ -217,6 +217,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.cache_path = args.cache_path
     if hasattr(args, "force"):
         cfg.force = args.force
+    if cfg.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {cfg.threads}")
     return cfg
 
 
@@ -408,10 +410,14 @@ def _cache_key(datum: BranchDatum, method: str, convention: str) -> str:
     )
 
 
-def _load_cache(path: str) -> dict[str, int]:
+def _load_cache(path: str) -> tuple[dict[str, int], int]:
+    """The cached counts by key, and the number of lines skipped because
+    they are not a current-version entry with a datum, a method, a
+    convention and an integer ``nu``."""
     cache: dict[str, int] = {}
+    skipped = 0
     if not os.path.exists(path):
-        return cache
+        return cache, skipped
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -419,17 +425,19 @@ def _load_cache(path: str) -> dict[str, int]:
                 continue
             try:
                 entry = json.loads(line)
-            except json.JSONDecodeError:
+                key = _cache_key(
+                    BranchDatum.from_json(entry["datum"]),
+                    entry["method"],
+                    entry["convention"],
+                )
+                usable = type(entry["nu"]) is int and entry.get("version") == CACHE_VERSION
+            except (KeyError, TypeError, ValueError):
+                usable = False
+            if not usable:
+                skipped += 1
                 continue
-            if entry.get("version") != CACHE_VERSION:
-                continue
-            key = _cache_key(
-                BranchDatum.from_json(entry["datum"]),
-                entry["method"],
-                entry["convention"],
-            )
             cache[key] = entry["nu"]
-    return cache
+    return cache, skipped
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -446,10 +454,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     appended: list[dict] = []
     if path is not None:
         try:
-            cache = _load_cache(path)
+            cache, skipped = _load_cache(path)
         except OSError as exc:
             print(f"cache read failed: {exc}", file=sys.stderr)
             return EXIT_IO
+        if skipped:
+            print(f"cache: skipped {skipped} unusable lines in {path}", file=sys.stderr)
 
     started = time.perf_counter()
     computed = 0
@@ -564,8 +574,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _config_from_args(args)
     try:
+        cfg = _config_from_args(args)
         if cfg.command == "check":
             return cmd_check(cfg)
         if cfg.command == "count":

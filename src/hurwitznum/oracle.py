@@ -20,6 +20,7 @@ union, so counts do not depend on the thread count.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -145,13 +146,13 @@ def _centralizer_order(parts: tuple[int, ...]) -> int:
     return out
 
 
-def _choose_slots(datum: BranchDatum) -> tuple[int, int, int]:
+def _choose_slots(datum: BranchDatum, anchor: int | None = None) -> tuple[int, int, int]:
     """(anchor, stream, forced) slot indices.
 
-    The anchor is the slot whose remaining cheapest class costs least to
-    stream, with ties broken towards the smallest centralizer (cheap orbit
-    merging) and then the slot index; the streamed slot is the cheapest
-    remaining class.
+    Unless ``anchor`` is given, the anchor is the slot whose remaining
+    cheapest class costs least to stream, with ties broken towards the
+    smallest centralizer (cheap orbit merging) and then the slot index; the
+    streamed slot is the cheapest remaining class.
     """
     sizes = [P.class_size(pi) for pi in datum.partitions]
 
@@ -159,7 +160,8 @@ def _choose_slots(datum: BranchDatum) -> tuple[int, int, int]:
         stream_cost = min(sizes[s] for s in range(3) if s != a)
         return (stream_cost, _centralizer_order(datum.partitions[a]), a)
 
-    anchor = min(range(3), key=anchor_key)
+    if anchor is None:
+        anchor = min(range(3), key=anchor_key)
     stream = min((s for s in range(3) if s != anchor), key=lambda s: (sizes[s], s))
     return anchor, stream, 3 - anchor - stream
 
@@ -192,14 +194,11 @@ def _canonical(triple: Triple, zgens: tuple[P.Perm, ...]) -> Triple:
     return min(_orbit(triple, zgens))
 
 
-def _scan_stream(datum: BranchDatum, threads: int) -> _AnchoredReps:
+def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) -> _AnchoredReps:
+    """Anchored representatives; ``anchor`` forces the anchor slot, which
+    tests use to check that counts do not depend on the choice."""
     d = datum.degree
-    anchor, stream, forced = _choose_slots(datum)
-    if _anchor_override is not None:
-        anchor = _anchor_override
-        sizes = [P.class_size(pi) for pi in datum.partitions]
-        stream = min((s for s in range(3) if s != anchor), key=lambda s: (sizes[s], s))
-        forced = 3 - anchor - stream
+    anchor, stream, forced = _choose_slots(datum, anchor)
     tau_s = datum.partitions[stream]
     tau_f = datum.partitions[forced]
     r = P.class_representative(datum.partitions[anchor])
@@ -264,22 +263,19 @@ def _scan_stream(datum: BranchDatum, threads: int) -> _AnchoredReps:
     return _AnchoredReps(anchor=anchor, r=r, zgens=zgens, reps=tuple(reps))
 
 
-_REPS_CACHE: dict[tuple[BranchDatum, int], _AnchoredReps] = {}
+_REPS_CACHE: dict[tuple[BranchDatum, int | None], _AnchoredReps] = {}
 
 
-def _anchored_reps(datum: BranchDatum, threads: int, degree_bound: int) -> _AnchoredReps:
+def _anchored_reps(
+    datum: BranchDatum, threads: int, degree_bound: int, anchor: int | None = None
+) -> _AnchoredReps:
     if not rh_compatible(datum):
         raise IncompatibleDatumError(f"datum {datum} fails the compatibility relation")
     _check_feasible(datum, degree_bound)
-    key = (datum, _anchor_override if _anchor_override is not None else -1)
+    key = (datum, anchor)
     if key not in _REPS_CACHE:
-        _REPS_CACHE[key] = _scan_stream(datum, threads)
+        _REPS_CACHE[key] = _scan_stream(datum, threads, anchor)
     return _REPS_CACHE[key]
-
-
-# Test hook: when set, forces the anchor slot (used to verify that counts do
-# not depend on the anchoring choice).
-_anchor_override: int | None = None
 
 
 def enumerate_triples(
@@ -325,6 +321,21 @@ def _move_reflection(t: Triple) -> Triple:
     )
 
 
+def _weak_moves(
+    partitions: tuple[tuple[int, ...], ...], convention: WeakConvention
+) -> list[Callable[[Triple], Triple]]:
+    """The convention's moves on triples: a swap for each pair of slots with
+    equal partitions, then the reflection."""
+    moves: list[Callable[[Triple], Triple]] = []
+    if convention.include_slot_permutations:
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            if partitions[i] == partitions[j]:
+                moves.append(lambda t, i=i, j=j: _move_swap(i, j, t))
+    if convention.include_reflection:
+        moves.append(_move_reflection)
+    return moves
+
+
 def _weak_orbit_count(datum: BranchDatum, info: _AnchoredReps, convention: WeakConvention) -> int:
     reps = info.reps
     index = {t: i for i, t in enumerate(reps)}
@@ -341,15 +352,7 @@ def _weak_orbit_count(datum: BranchDatum, info: _AnchoredReps, convention: WeakC
         if rx != ry:
             parent[rx] = ry
 
-    moves = []
-    if convention.include_slot_permutations:
-        pis = datum.partitions
-        for i, j in ((0, 1), (1, 2), (0, 2)):
-            if pis[i] == pis[j]:
-                moves.append(lambda t, i=i, j=j: _move_swap(i, j, t))
-    if convention.include_reflection:
-        moves.append(_move_reflection)
-
+    moves = _weak_moves(datum.partitions, convention)
     id_d = P.identity(datum.degree)
     for i, t in enumerate(reps):
         for move in moves:
@@ -490,16 +493,9 @@ def unanchored_profile(
     # The moves are conjugation-equivariant, so they send whole conjugation
     # orbits to conjugation orbits; one edge per orbit representative gives
     # the full weak closure.
-    pis = datum.partitions
     weak: dict[str, int] = {}
     for convention in ALL_CONVENTIONS:
-        moves = []
-        if convention.include_slot_permutations:
-            for i, j in ((0, 1), (1, 2), (0, 2)):
-                if pis[i] == pis[j]:
-                    moves.append(lambda t, i=i, j=j: _move_swap(i, j, t))
-        if convention.include_reflection:
-            moves.append(_move_reflection)
+        moves = _weak_moves(datum.partitions, convention)
         parent = list(base)
         for i in strong_roots:
             for move in moves:

@@ -102,6 +102,15 @@ def test_usage_errors_exit_one(capsys):
                "--pi", "14,1,1", "--method", "sorcery")[0] == 1
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_one(capsys, threads):
+    code, out, err = run(capsys, "count", "--genus", "0", "--h", "1", "--k", "4",
+                         "--pi", "6,1,1", "--method", "oracle", "--threads", threads)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --threads must be at least 1, got {threads}\n"
+
+
 def test_table_matches_golden_text(capsys):
     code, out, _ = run(capsys, "table")
     assert code == 0
@@ -164,6 +173,21 @@ def test_sweep_ignores_corrupt_cache_lines(capsys, tmp_path):
     code, out, _ = run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))
     assert code == 0
     assert "0 discrepancies" in out
+
+
+@pytest.mark.parametrize(
+    "line", [json.dumps({"version": 1, "method": "formula"}), "[1, 2]"]
+)
+def test_sweep_skips_cache_lines_that_are_not_entries(capsys, tmp_path, line):
+    clean = tmp_path / "clean.jsonl"
+    _, expected, _ = run(capsys, "sweep", "--max-d", "6", "--cache", str(clean))
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(line + "\n" + clean.read_text())
+    code, out, err = run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))
+    assert code == 0
+    assert out == expected
+    assert "skipped 1 unusable lines" in err
+    assert "0 computed" in err
 
 
 def test_sweep_env_var_cache(capsys, tmp_path, monkeypatch):

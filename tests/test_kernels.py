@@ -1,9 +1,14 @@
 """Compiled scan kernel against its pure Python reference implementation."""
 
+import importlib.util
 import os
 import random
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +16,13 @@ from hurwitznum import _purekernels, kernels
 from hurwitznum import branchdata as B
 from hurwitznum import perm as P
 
-_speed = pytest.importorskip("hurwitznum._speed")
+try:
+    from hurwitznum import _speed
+except ImportError:
+    _speed = None
+
+needs_speed = pytest.mark.skipif(_speed is None, reason="hurwitznum._speed is not built")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _random_case(rng, d):
@@ -27,6 +38,7 @@ def _random_case(rng, d):
     return phi, target, parent, len(P.cycles(r))
 
 
+@needs_speed
 @pytest.mark.parametrize("d", [4, 6, 8, 10])
 def test_backends_agree_on_random_blocks(d):
     rng = random.Random(d * 1009)
@@ -43,6 +55,7 @@ def test_backends_agree_on_random_blocks(d):
         assert sorted(got_fast) == sorted(got_pure), (d, trial)
 
 
+@needs_speed
 def test_backends_agree_on_family_blocks():
     # the exact configuration the oracle runs: anchor on the involution
     # class companions of a reference-table row
@@ -66,6 +79,7 @@ def test_backends_agree_on_family_blocks():
             assert sorted(fast) == sorted(pure)
 
 
+@needs_speed
 def test_survivors_are_valid_involutions():
     d = 8
     rng = random.Random(7)
@@ -108,7 +122,9 @@ def test_block_union_is_the_full_stream():
 
 
 def test_kernel_input_validation():
-    for impl in (_speed, _purekernels):
+    for impl in (_purekernels, _speed):
+        if impl is None:
+            continue
         with pytest.raises(ValueError):
             impl.scan_involutions_block(5, 1, (0, 1, 2, 3, 4), True, (5,), [0] * 5, 1)
         with pytest.raises(ValueError):
@@ -119,8 +135,9 @@ def test_kernel_input_validation():
 
 def test_backend_names():
     assert _purekernels.backend() == "pure"
-    assert _speed.backend() == "compiled"
     assert kernels.backend() in ("pure", "compiled")
+    if _speed is not None:
+        assert _speed.backend() == "compiled"
 
 
 def test_pure_env_forces_fallback():
@@ -135,6 +152,7 @@ def test_pure_env_forces_fallback():
     assert out.stdout.strip() == "pure"
 
 
+@needs_speed
 def test_compiled_is_default_when_present():
     env = {k: v for k, v in os.environ.items() if k != "HURWITZNUM_PURE"}
     out = subprocess.run(
@@ -145,3 +163,27 @@ def test_compiled_is_default_when_present():
         check=True,
     )
     assert out.stdout.strip() == "compiled"
+
+
+def test_extension_builds_and_matches_pure(tmp_path):
+    cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler found")
+    subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(tmp_path / "lib"), "--build-temp", str(tmp_path / "tmp")],
+        cwd=ROOT, capture_output=True, check=True,
+    )
+    (path,) = (tmp_path / "lib" / "hurwitznum").glob("_speed*")
+    spec = importlib.util.spec_from_file_location("hurwitznum._speed", path)
+    built = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(built)
+    assert built.backend() == "compiled"
+    for d in (4, 6, 8, 10):
+        rng = random.Random(d * 7919)
+        for trial in range(24):
+            phi, target, parent, nroots = _random_case(rng, d)
+            args = (d, rng.randrange(1, d), phi, bool(rng.getrandbits(1)), target, parent, nroots)
+            assert built.scan_involutions_block(*args) == _purekernels.scan_involutions_block(
+                *args
+            ), (d, trial)

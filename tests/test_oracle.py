@@ -116,15 +116,11 @@ def test_anchor_override_gives_same_counts():
     datum = fam(0, 1, 5, (8, 1, 1))
     base_strong = O.strong_hurwitz(datum)
     base_weak = O.weak_hurwitz(datum, O.FULL_MOVES)
-    try:
-        for slot in range(3):
-            O._anchor_override = slot
-            O._REPS_CACHE.clear()
-            assert O.strong_hurwitz(datum) == base_strong, slot
-            assert O.weak_hurwitz(datum, O.FULL_MOVES) == base_weak, slot
-    finally:
-        O._anchor_override = None
-        O._REPS_CACHE.clear()
+    for slot in range(3):
+        info = O._anchored_reps(datum, 1, O.DEFAULT_DEGREE_BOUND, anchor=slot)
+        assert info.anchor == slot
+        assert len(info.reps) == base_strong, slot
+        assert O._weak_orbit_count(datum, info, O.FULL_MOVES) == base_weak, slot
 
 
 def test_threads_do_not_change_counts():
