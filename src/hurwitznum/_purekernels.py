@@ -5,12 +5,27 @@ degree ``d`` and keeps those whose forced companion permutation has a
 prescribed cycle type while generating a transitive group together with the
 anchored permutation.  This module implements that scan in plain Python and
 is the reference the compiled twin `_speed` (built from `_speed.c`) is
-tested against; `kernels` picks one at import time.
+tested against; `kernels` picks one at import time, and only takes the
+compiled twin when its `API` equals this module's.
+
+The scan keeps only involutions that are canonical under rotation of the
+anchor's cycle through point 0.  The oracle's anchor places that cycle on
+``0..rot-1`` as ``x -> x + 1``, so conjugating by the rotation fixes the
+anchor and maps survivors to survivors.  For ``x < rot`` let
+``label(x) = (v[x] - x) % rot`` when ``v[x] < rot``, else ``rot + v[x]``;
+rotating ``v`` rotates these labels, so keeping only ``v`` with
+``label(0) <= label(x)`` for every ``x < rot`` keeps at least one member of
+every rotation orbit.  The walk places the pairs at ``0..rot-1`` first, so a
+violated label cuts its whole subtree.  ``rot = 1`` keeps everything.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+
+# Bumped whenever the signature or the semantics of the scan change; a
+# compiled twin whose `API` differs is stale and is not used.
+API = 2
 
 
 def backend() -> str:
@@ -25,8 +40,9 @@ def scan_involutions_block(
     target: Sequence[int],
     anchor_parent: Sequence[int],
     anchor_roots: int,
+    rot: int,
 ) -> list[tuple[int, ...]]:
-    """Surviving involutions ``v`` with ``v(0) = first``.
+    """Surviving rotation-canonical involutions ``v`` with ``v(0) = first``.
 
     A fixed-point-free involution ``v`` of degree ``d`` survives iff
 
@@ -34,7 +50,10 @@ def scan_involutions_block(
       ``t[x] = phi[v[x]]``) has cycle type ``target`` (weakly decreasing), and
     * the union of the anchor's point classes (``anchor_parent``, given as a
       forest with ``anchor_roots`` roots pointing to themselves) with the
-      pairs of ``v`` is a single class, so the generated group is transitive.
+      pairs of ``v`` is a single class, so the generated group is transitive,
+
+    and it is canonical under rotation of ``0..rot-1`` (see the module
+    docstring).
 
     Splitting the stream by the partner of point 0 gives ``d - 1`` disjoint
     blocks; scanning each block for every ``first`` recovers the whole
@@ -44,6 +63,11 @@ def scan_involutions_block(
         raise ValueError(f"degree must be even and positive, got {d}")
     if not 1 <= first < d:
         raise ValueError(f"first partner {first} out of range")
+    if not 1 <= rot <= d:
+        raise ValueError(f"rotated cycle length {rot} out of range")
+    lab0 = first if first < rot else rot + first
+    if first < rot and rot - first < lab0:
+        return []
     target = tuple(target)
     ntgt = len(target)
     v = [-1] * d
@@ -103,6 +127,12 @@ def scan_involutions_block(
         a = free[0]
         for i in range(1, len(free)):
             b = free[i]
+            if a < rot:
+                if b < rot:
+                    if (b - a) % rot < lab0 or (a - b) % rot < lab0:
+                        continue
+                elif rot + b < lab0:
+                    continue
             v[a] = b
             v[b] = a
             rec(free[1:i] + free[i + 1 :])

@@ -4,18 +4,28 @@
    forms the composite t (t[x] = v[phi[x]] when left, else phi[v[x]]) and
    keeps v when t has the target cycle type and the pairs of v join the
    anchor's point classes into one, so that the generated group is
-   transitive.  The walk runs with the interpreter lock released, so blocks
-   scanned on several threads run in parallel.  Build it next to the Python
-   sources with `python3 setup.py build_ext --inplace`.
+   transitive.  It keeps only the v that are canonical under rotation of the
+   anchor's cycle 0..rot-1: for x < rot, label(x) = (v[x] - x) mod rot when
+   v[x] < rot, else rot + v[x], and v is kept when no label is below
+   label(0).  Rotating that cycle fixes the anchor and rotates the labels,
+   so every rotation orbit of survivors keeps a member; rot = 1 keeps all.
+   The pairs at 0..rot-1 are placed first, so a violated label cuts its
+   whole subtree.  The walk runs with the interpreter lock released, so
+   blocks scanned on several threads run in parallel.  Build it next to the
+   Python sources with `python3 setup.py build_ext --inplace`.
+
+   API must equal `_purekernels.API`; `kernels` ignores a build whose API
+   differs, so bump both whenever the signature or the semantics change.
 */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h> /* also includes stdlib.h and string.h */
 
 #define MAXD 32
+#define API 2
 
 typedef struct {
-    int d, left, nroots, ntarget;
+    int d, left, nroots, ntarget, rot, label0;
     int phi[MAXD], target[MAXD], parent[MAXD];
     int *out; /* survivors, d entries each */
     Py_ssize_t count, cap;
@@ -28,6 +38,12 @@ static int find(int *uf, int x)
         x = uf[x];
     }
     return x;
+}
+
+/* The label of x < rot when v[x] = y; see the header. */
+static int label(int rot, int x, int y)
+{
+    return y < rot ? (y - x + rot) % rot : rot + y;
 }
 
 static int survives(const Scan *s, const int *v)
@@ -83,8 +99,8 @@ static int keep(Scan *s, const int *v)
 }
 
 /* Pairs the smallest unpaired point with each later unpaired point in turn,
-   in the pure twin's order.  Returns 0 when the survivor buffer cannot
-   grow. */
+   in the pure twin's order, skipping pairs that give a point of 0..rot-1 a
+   label below label(0).  Returns 0 when the survivor buffer cannot grow. */
 static int walk(Scan *s, int *v, int *used, int npaired)
 {
     if (npaired == s->d)
@@ -95,6 +111,10 @@ static int walk(Scan *s, int *v, int *used, int npaired)
     used[a] = 1;
     for (int b = a + 1; b < s->d; b++) {
         if (used[b])
+            continue;
+        if (a < s->rot
+            && (label(s->rot, a, b) < s->label0
+                || (b < s->rot && label(s->rot, b, a) < s->label0)))
             continue;
         used[b] = 1;
         v[a] = b;
@@ -162,14 +182,14 @@ fail:
 static PyObject *scan_involutions_block(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"d", "first", "phi", "left", "target",
-                             "anchor_parent", "anchor_roots", NULL};
+                             "anchor_parent", "anchor_roots", "rot", NULL};
     Scan s = {0};
     int first, ok, v[MAXD], used[MAXD] = {0};
     PyObject *phi, *target, *parent, *result;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOpOOi:scan_involutions_block", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOpOOii:scan_involutions_block", kwlist,
                                      &s.d, &first, &phi, &s.left, &target, &parent,
-                                     &s.nroots))
+                                     &s.nroots, &s.rot))
         return NULL;
     if (s.d < 2 || s.d > MAXD || s.d % 2)
         return PyErr_Format(PyExc_ValueError, "degree must be even and at most %d, got %d",
@@ -177,11 +197,17 @@ static PyObject *scan_involutions_block(PyObject *self, PyObject *args, PyObject
     if (first < 1 || first >= s.d)
         return PyErr_Format(PyExc_ValueError, "first partner must be in 1..%d, got %d",
                             s.d - 1, first);
+    if (s.rot < 1 || s.rot > s.d)
+        return PyErr_Format(PyExc_ValueError, "rotated cycle length must be in 1..%d, got %d",
+                            s.d, s.rot);
     if (read_ints(phi, "phi", s.phi, s.d, 1, 0, s.d - 1) < 0
         || read_ints(parent, "anchor_parent", s.parent, s.d, 1, 0, s.d - 1) < 0
         || (s.ntarget = read_ints(target, "target", s.target, s.d, 0, 1, s.d)) < 0)
         return NULL;
 
+    s.label0 = label(s.rot, 0, first);
+    if (first < s.rot && label(s.rot, first, 0) < s.label0)
+        return PyList_New(0);
     v[0] = first;
     v[first] = 0;
     used[0] = used[first] = 1;
@@ -202,7 +228,7 @@ static PyObject *backend(PyObject *self, PyObject *unused)
 static PyMethodDef methods[] = {
     {"scan_involutions_block", (PyCFunction)(void (*)(void))scan_involutions_block,
      METH_VARARGS | METH_KEYWORDS,
-     "Survivors among involutions pairing 0 with first; see the pure twin."},
+     "Rotation-canonical survivors among involutions pairing 0 with first; see the pure twin."},
     {"backend", backend, METH_NOARGS, "Identify this implementation."},
     {NULL, NULL, 0, NULL},
 };
@@ -217,5 +243,10 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__speed(void)
 {
-    return PyModule_Create(&module);
+    PyObject *m = PyModule_Create(&module);
+    if (m != NULL && PyModule_AddIntConstant(m, "API", API) < 0) {
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
 }

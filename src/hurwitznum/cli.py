@@ -20,6 +20,7 @@ stderr so stdout is byte-deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -451,7 +452,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
     conv = _convention(cfg)
     path = _cache_path(cfg)
     cache: dict[str, int] = {}
-    appended: list[dict] = []
     if path is not None:
         try:
             cache, skipped = _load_cache(path)
@@ -464,9 +464,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
     started = time.perf_counter()
     computed = 0
     reused = 0
+    stack = contextlib.ExitStack()
+    sink = None  # the cache file, opened for append on the first new entry
 
     def run(datum: BranchDatum, method: str, convention: str, compute) -> int:
-        nonlocal computed, reused
+        nonlocal computed, reused, sink
         key = _cache_key(datum, method, convention)
         if not cfg.force and key in cache:
             reused += 1
@@ -474,69 +476,70 @@ def cmd_sweep(cfg: RunConfig) -> int:
         nu = compute()
         computed += 1
         cache[key] = nu
-        appended.append(
-            {
+        if path is not None:
+            # Written and flushed at once, so an interrupted sweep keeps
+            # every entry it computed.
+            if sink is None:
+                sink = stack.enter_context(open(path, "a", encoding="utf-8"))
+            entry = {
                 "datum": datum.to_json(),
                 "method": method,
                 "nu": nu,
                 "convention": convention,
                 "version": CACHE_VERSION,
             }
-        )
+            sink.write(json.dumps(entry, sort_keys=True) + "\n")
+            sink.flush()
         return nu
 
     per_shape: dict[tuple[int, int], list[int]] = {}
     discrepancies: list[str] = []
     records = []
-    for params, datum in family_data(cfg.max_d):
-        values: dict[str, int] = {}
-        values["formula"] = run(
-            datum,
-            "formula",
-            "-",
-            lambda: F.nu_for_family(params.g, params.h, params.k, params.pi).nu,
-        )
-        if (params.g, params.h) in W.FAMILIES:
-            values["witnesses"] = run(
-                datum,
-                "witnesses",
-                "-",
-                lambda: len(
-                    W.enumerate_witnesses(params.g, params.h, params.k, params.pi)
-                ),
-            )
-        values["oracle"] = run(
-            datum,
-            "oracle",
-            conv.label(),
-            lambda: O.weak_hurwitz(
-                datum, conv, threads=cfg.threads, degree_bound=cfg.max_d
-            ),
-        )
-        ok = len(set(values.values())) == 1
-        shape = (params.g, params.h)
-        per_shape.setdefault(shape, [0, 0])
-        per_shape[shape][0] += 1
-        if not ok:
-            per_shape[shape][1] += 1
-            detail = " ".join(f"{m}={v}" for m, v in sorted(values.items()))
-            discrepancies.append(f"DISCREPANT {datum}: {detail}")
-        records.append(
-            {
-                "datum": datum.to_json(),
-                "values": values,
-                "ok": ok,
-            }
-        )
-
-    if path is not None and appended:
-        try:
-            with open(path, "a", encoding="utf-8") as fh:
-                for entry in appended:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        except OSError as exc:
-            print(f"cache write failed: {exc}", file=sys.stderr)
-            return EXIT_IO
+    try:
+        with stack:
+            for params, datum in family_data(cfg.max_d):
+                values: dict[str, int] = {}
+                values["formula"] = run(
+                    datum,
+                    "formula",
+                    "-",
+                    lambda: F.nu_for_family(params.g, params.h, params.k, params.pi).nu,
+                )
+                if (params.g, params.h) in W.FAMILIES:
+                    values["witnesses"] = run(
+                        datum,
+                        "witnesses",
+                        "-",
+                        lambda: len(
+                            W.enumerate_witnesses(params.g, params.h, params.k, params.pi)
+                        ),
+                    )
+                values["oracle"] = run(
+                    datum,
+                    "oracle",
+                    conv.label(),
+                    lambda: O.weak_hurwitz(
+                        datum, conv, threads=cfg.threads, degree_bound=cfg.max_d
+                    ),
+                )
+                ok = len(set(values.values())) == 1
+                shape = (params.g, params.h)
+                per_shape.setdefault(shape, [0, 0])
+                per_shape[shape][0] += 1
+                if not ok:
+                    per_shape[shape][1] += 1
+                    detail = " ".join(f"{m}={v}" for m, v in sorted(values.items()))
+                    discrepancies.append(f"DISCREPANT {datum}: {detail}")
+                records.append(
+                    {
+                        "datum": datum.to_json(),
+                        "values": values,
+                        "ok": ok,
+                    }
+                )
+    except OSError as exc:
+        print(f"cache write failed: {exc}", file=sys.stderr)
+        return EXIT_IO
 
     elapsed = time.perf_counter() - started
     print(

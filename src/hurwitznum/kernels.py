@@ -1,7 +1,9 @@
 """Backend selection for the involution scan kernel.
 
-Prefers the compiled extension `_speed` when it is importable, falling back
-to the pure Python twin `_purekernels`.  Setting the environment variable
+Prefers the compiled extension `_speed` when it is importable and its `API`
+matches the pure Python twin `_purekernels`, falling back to the twin
+otherwise.  A build whose `API` differs was made from an older `_speed.c`;
+it is skipped with a warning to rebuild.  Setting the environment variable
 ``HURWITZNUM_PURE`` to a non-empty value forces the pure backend, which is
 useful for benchmarking and for debugging the compiled kernel against its
 reference implementation.
@@ -10,14 +12,27 @@ reference implementation.
 from __future__ import annotations
 
 import os
+import warnings
 
-if os.environ.get("HURWITZNUM_PURE"):
-    from . import _purekernels as _impl
-else:
+from . import _purekernels
+
+_impl = _purekernels
+if not os.environ.get("HURWITZNUM_PURE"):
     try:
-        from . import _speed as _impl  # type: ignore[attr-defined]
+        from . import _speed  # type: ignore[attr-defined]
     except ImportError:
-        from . import _purekernels as _impl
+        pass
+    else:
+        api = getattr(_speed, "API", None)
+        if api == _purekernels.API:
+            _impl = _speed
+        else:
+            warnings.warn(
+                f"ignoring the compiled kernel hurwitznum._speed: its API is {api}, "
+                f"not {_purekernels.API}, so it was built from an older _speed.c; "
+                "rebuild it with `python3 setup.py build_ext --inplace`",
+                stacklevel=2,
+            )
 
 scan_involutions_block = _impl.scan_involutions_block
 

@@ -14,8 +14,12 @@ scan, streams the cheapest remaining class, forces the third permutation
 from the product relation, and merges survivors into orbits of the anchor's
 centralizer.  When the streamed class consists of fixed-point-free
 involutions the scan runs through the kernel backend and is split into
-disjoint blocks that can be processed by a thread pool; the merge is a set
-union, so counts do not depend on the thread count.
+disjoint blocks that can be processed by a thread pool.  The kernel keeps
+only involutions that are canonical under rotation of the anchor's cycle
+through point 0, so its survivors meet every centralizer orbit but are no
+longer closed under the centralizer.  The merge walks the orbit of each
+survivor that no walked orbit holds and represents it by its minimum, so
+neither the representatives nor the counts depend on the thread count.
 """
 
 from __future__ import annotations
@@ -222,9 +226,14 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
                 parent[x] = cyc[0]
         blocks = list(range(1, d))
 
+        # class_representative puts the first (largest) part on 0..c-1 as
+        # x -> x + 1, so rotating that cycle commutes with r: the kernel
+        # prunes by that rotation.
+        rot = len(anchor_cycles[0])
+
         def run_block(first: int) -> list[P.Perm]:
             return kernels.scan_involutions_block(
-                d, first, phi, left, tau_f, parent, len(anchor_cycles)
+                d, first, phi, left, tau_f, parent, len(anchor_cycles), rot
             )
 
         if threads > 1:
@@ -249,16 +258,18 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
                 assert P.compose(t1, P.compose(t2, t3)) == id_d
             survivors.add(triple)
 
-    # Merge survivors into centralizer orbits; each orbit is contained in
-    # the survivor set, so one sweep visits every orbit exactly once.
+    # Merge survivors into centralizer orbits.  The survivors meet every
+    # orbit but need not be closed under the centralizer, because the
+    # kernel skips involutions that are not rotation-canonical.  So walk the
+    # orbit of each survivor that no walked orbit holds yet: one walk per
+    # orbit.
     reps: list[Triple] = []
-    pending = set(survivors)
-    while pending:
-        t = next(iter(pending))
-        orbit = _orbit(t, zgens)
-        assert orbit <= survivors
-        pending -= orbit
-        reps.append(min(orbit))
+    seen: set[Triple] = set()
+    for t in survivors:
+        if t not in seen:
+            orbit = _orbit(t, zgens)
+            seen |= orbit
+            reps.append(min(orbit))
     reps.sort()
     return _AnchoredReps(anchor=anchor, r=r, zgens=zgens, reps=tuple(reps))
 

@@ -190,6 +190,33 @@ def test_sweep_skips_cache_lines_that_are_not_entries(capsys, tmp_path, line):
     assert "0 computed" in err
 
 
+def test_interrupted_sweep_keeps_computed_entries(capsys, tmp_path, monkeypatch):
+    clean = tmp_path / "clean.jsonl"
+    _, expected, _ = run(capsys, "sweep", "--max-d", "6", "--cache", str(clean))
+    weak_hurwitz = cli.O.weak_hurwitz
+    calls = []
+
+    def interrupted_after_three(*args, **kwargs):
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        calls.append(args)
+        return weak_hurwitz(*args, **kwargs)
+
+    monkeypatch.setattr(cli.O, "weak_hurwitz", interrupted_after_three)
+    cache = tmp_path / "cache.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["sweep", "--max-d", "6", "--cache", str(cache)])
+    lines = cache.read_text().splitlines()
+    assert lines == clean.read_text().splitlines()[: len(lines)]
+    assert sum(json.loads(line)["method"] == "oracle" for line in lines) == 3
+
+    monkeypatch.setattr(cli.O, "weak_hurwitz", weak_hurwitz)
+    code, out, err = run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))
+    assert code == 0
+    assert out == expected
+    assert f"{len(lines)} cached" in err
+
+
 def test_sweep_env_var_cache(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "env_cache.jsonl"
     monkeypatch.setenv(cli.CACHE_ENV, str(cache))

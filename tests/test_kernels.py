@@ -26,7 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _random_case(rng, d):
-    """A random anchored-scan configuration of even degree d."""
+    """A random anchored-scan configuration of even degree d, with the length
+    of the anchor's cycle through 0."""
     anchor_parts = tuple(rng.choice(B.partitions_of(d)))
     r = P.class_representative(anchor_parts)
     phi = P.inverse(r)
@@ -35,24 +36,91 @@ def _random_case(rng, d):
     for cyc in P.cycles(r):
         for x in cyc:
             parent[x] = cyc[0]
-    return phi, target, parent, len(P.cycles(r))
+    return phi, target, parent, len(P.cycles(r)), anchor_parts[0]
+
+
+def _random_args(rng, d):
+    """Random kernel arguments of degree d, with rot = 1 or the length of the
+    anchor's cycle through 0."""
+    phi, target, parent, nroots, c = _random_case(rng, d)
+    return (d, rng.randrange(1, d), phi, bool(rng.getrandbits(1)), target, parent, nroots,
+            rng.choice((1, c)))
+
+
+def _d_cycle_blocks(d):
+    """Every block of the anchored d-cycle against every target, with both
+    compositions and rot = d: the case the oracle prunes most."""
+    phi = P.inverse(P.class_representative((d,)))
+    for target in B.partitions_of(d):
+        for first in range(1, d):
+            for left in (False, True):
+                yield (d, first, phi, left, tuple(target), [0] * d, 1, d)
+
+
+def _rotation_cases(d, rng):
+    """Configurations as `_random_case` gives them: the anchored d-cycle
+    against every target, then six random anchors."""
+    phi = P.inverse(P.class_representative((d,)))
+    for target in B.partitions_of(d):
+        yield phi, tuple(target), [0] * d, 1, d
+    for _ in range(6):
+        yield _random_case(rng, d)
+
+
+def _rotations(v, c):
+    """The conjugates of v by the powers of the rotation (0 1 ... c-1)."""
+    rho = P.class_representative((c,) + (1,) * (len(v) - c))
+    out, g = [], P.identity(len(v))
+    for _ in range(c):
+        out.append(P.conjugate(v, g))
+        g = P.compose(rho, g)
+    return out
 
 
 @needs_speed
 @pytest.mark.parametrize("d", [4, 6, 8, 10])
 def test_backends_agree_on_random_blocks(d):
     rng = random.Random(d * 1009)
-    for trial in range(24):
-        phi, target, parent, nroots = _random_case(rng, d)
+    cases = [_random_args(rng, d) for _ in range(24)] + list(_d_cycle_blocks(d))
+    for args in cases:
+        got_fast = _speed.scan_involutions_block(*args)
+        got_pure = _purekernels.scan_involutions_block(*args)
+        assert got_fast == got_pure, args
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 10])
+def test_rotation_keeps_a_member_of_every_orbit(d):
+    rng = random.Random(d * 31)
+    for trial, (phi, target, parent, nroots, c) in enumerate(_rotation_cases(d, rng)):
         left = bool(rng.getrandbits(1))
-        first = rng.randrange(1, d)
-        got_fast = _speed.scan_involutions_block(
-            d, first, phi, left, target, parent, nroots
-        )
-        got_pure = _purekernels.scan_involutions_block(
-            d, first, phi, left, target, parent, nroots
-        )
-        assert sorted(got_fast) == sorted(got_pure), (d, trial)
+
+        def scan(rot):
+            return {
+                v
+                for first in range(1, d)
+                for v in _purekernels.scan_involutions_block(
+                    d, first, phi, left, target, parent, nroots, rot
+                )
+            }
+
+        every, kept = scan(1), scan(c)
+        assert kept <= every
+        for v in every:
+            assert not kept.isdisjoint(_rotations(v, c)), (d, trial, v)
+
+
+def test_rotation_prunes_blocks_whose_partner_label_is_smaller():
+    # With rot = c and first < c, point first gets label c - first, below
+    # label(0) = first when c - first < first, so the whole block goes.
+    d = 8
+    r = P.class_representative((d,))
+    args = (P.inverse(r), True, (5, 2, 1), [0] * d, 1)
+    for impl in (_purekernels, _speed):
+        if impl is None:
+            continue
+        for first in (5, 6, 7):
+            assert impl.scan_involutions_block(d, first, *args, 1)
+            assert impl.scan_involutions_block(d, first, *args, d) == []
 
 
 @needs_speed
@@ -70,23 +138,24 @@ def test_backends_agree_on_family_blocks():
     nroots = len(P.cycles(r))
     for left in (False, True):
         for first in range(1, d):
-            fast = _speed.scan_involutions_block(
-                d, first, phi, left, datum.partitions[2], parent, nroots
-            )
-            pure = _purekernels.scan_involutions_block(
-                d, first, phi, left, datum.partitions[2], parent, nroots
-            )
-            assert sorted(fast) == sorted(pure)
+            for rot in (1, datum.partitions[1][0]):
+                fast = _speed.scan_involutions_block(
+                    d, first, phi, left, datum.partitions[2], parent, nroots, rot
+                )
+                pure = _purekernels.scan_involutions_block(
+                    d, first, phi, left, datum.partitions[2], parent, nroots, rot
+                )
+                assert fast == pure
 
 
 @needs_speed
 def test_survivors_are_valid_involutions():
     d = 8
     rng = random.Random(7)
-    phi, target, parent, nroots = _random_case(rng, d)
+    phi, target, parent, nroots, c = _random_case(rng, d)
     for first in range(1, d):
         for v in _speed.scan_involutions_block(
-            d, first, phi, True, target, parent, nroots
+            d, first, phi, True, target, parent, nroots, c
         ):
             assert v[0] == first
             assert P.cycle_type(v) == (2,) * (d // 2)
@@ -108,7 +177,7 @@ def test_block_union_is_the_full_stream():
         v
         for first in range(1, d)
         for v in _purekernels.scan_involutions_block(
-            d, first, phi, True, datum.partitions[2], parent, nroots
+            d, first, phi, True, datum.partitions[2], parent, nroots, 1
         )
     ]
     assert len(set(blocks)) == len(blocks)
@@ -126,11 +195,16 @@ def test_kernel_input_validation():
         if impl is None:
             continue
         with pytest.raises(ValueError):
-            impl.scan_involutions_block(5, 1, (0, 1, 2, 3, 4), True, (5,), [0] * 5, 1)
+            impl.scan_involutions_block(5, 1, (0, 1, 2, 3, 4), True, (5,), [0] * 5, 1, 1)
         with pytest.raises(ValueError):
             impl.scan_involutions_block(
-                4, 0, (0, 1, 2, 3), True, (2, 2), [0, 0, 2, 2], 2
+                4, 0, (0, 1, 2, 3), True, (2, 2), [0, 0, 2, 2], 2, 1
             )
+        for rot in (0, 5):
+            with pytest.raises(ValueError):
+                impl.scan_involutions_block(
+                    4, 1, (0, 1, 2, 3), True, (2, 2), [0, 0, 2, 2], 2, rot
+                )
 
 
 def test_backend_names():
@@ -150,6 +224,44 @@ def test_pure_env_forces_fallback():
         check=True,
     )
     assert out.stdout.strip() == "pure"
+
+
+_STUB_SPEED = """
+import sys, types, warnings
+stub = types.ModuleType("hurwitznum._speed")
+stub.backend = lambda: "compiled"
+stub.scan_involutions_block = None
+if {api!r} is not None:
+    stub.API = {api!r}
+sys.modules["hurwitznum._speed"] = stub
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    from hurwitznum import kernels
+print(kernels.backend())
+for w in caught:
+    print(w.message)
+"""
+
+
+@pytest.mark.parametrize("api", [None, _purekernels.API - 1, _purekernels.API])
+def test_stale_compiled_kernel_falls_back_to_pure(api):
+    # A build from an older _speed.c (no API, or another one) must not be
+    # called with arguments it does not take; a current one is used.
+    env = {k: v for k, v in os.environ.items() if k != "HURWITZNUM_PURE"}
+    out = subprocess.run(
+        [sys.executable, "-c", _STUB_SPEED.format(api=api)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    lines = out.stdout.splitlines()
+    if api == _purekernels.API:
+        assert lines == ["compiled"]
+    else:
+        assert lines[0] == "pure"
+        assert len(lines) == 2
+        assert "python3 setup.py build_ext --inplace" in lines[1]
 
 
 @needs_speed
@@ -179,11 +291,10 @@ def test_extension_builds_and_matches_pure(tmp_path):
     built = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(built)
     assert built.backend() == "compiled"
+    assert built.API == _purekernels.API
     for d in (4, 6, 8, 10):
         rng = random.Random(d * 7919)
-        for trial in range(24):
-            phi, target, parent, nroots = _random_case(rng, d)
-            args = (d, rng.randrange(1, d), phi, bool(rng.getrandbits(1)), target, parent, nroots)
+        for args in [_random_args(rng, d) for _ in range(24)] + list(_d_cycle_blocks(d)):
             assert built.scan_involutions_block(*args) == _purekernels.scan_involutions_block(
                 *args
-            ), (d, trial)
+            ), args

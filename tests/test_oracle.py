@@ -5,6 +5,9 @@ Value provenance: the small counts asserted directly were verified by hand
 in this file; the convention ladders were frozen from those runs.
 """
 
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 from hurwitznum import branchdata as B
@@ -223,3 +226,62 @@ def test_results_cached_across_conventions():
     before = len(O._REPS_CACHE)
     O.weak_hurwitz(datum, O.FULL_MOVES)
     assert len(O._REPS_CACHE) == before
+
+
+def _frobenius_count(partitions):
+    """Number of triples with product 1 in the classes of ``partitions``.
+
+    Frobenius' formula: |C1| |C2| |C3| / d! times the sum over the
+    irreducible characters chi of S_d of chi(C1) chi(C2) chi(C3) / chi(1),
+    with each chi from the Murnaghan-Nakayama rule.
+    """
+    d = sum(partitions[0])
+    memo = {}
+
+    def chi(lam, mu):
+        # Remove a border strip of length mu[0] from lam in every way, on
+        # the beta-set of lam: a bead b moves to the free place b - mu[0],
+        # with sign (-1) ** (beads jumped over).
+        if not mu:
+            return 1
+        if (lam, mu) not in memo:
+            n, k = len(lam), mu[0]
+            beta = {part + n - 1 - i for i, part in enumerate(lam)}
+            total = 0
+            for b in beta:
+                if b >= k and b - k not in beta:
+                    height = sum(1 for x in beta if b - k < x < b)
+                    moved = sorted(beta - {b} | {b - k}, reverse=True)
+                    rest = tuple(x - (n - 1 - i) for i, x in enumerate(moved))
+                    total += (-1) ** height * chi(tuple(p for p in rest if p), mu[1:])
+            memo[(lam, mu)] = total
+        return memo[(lam, mu)]
+
+    irreps = [tuple(lam) for lam in B.partitions_of(d)]
+    dims = {lam: chi(lam, (1,) * d) for lam in irreps}
+    assert sum(n * n for n in dims.values()) == factorial(d)
+    s = sum(
+        Fraction(chi(lam, partitions[0]) * chi(lam, partitions[1]) * chi(lam, partitions[2]),
+                 dims[lam])
+        for lam in irreps
+    )
+    sizes = [P.class_size(pi) for pi in partitions]
+    out = sizes[0] * sizes[1] * sizes[2] * s / factorial(d)
+    assert out.denominator == 1
+    return int(out)
+
+
+@pytest.mark.parametrize("k, survivors", [(7, 1470), (8, 3920)])
+def test_orbit_sizes_match_frobenius_count(k, survivors):
+    # An independent check above the reach of unanchored_profile.  With a
+    # [d] slot every triple with product 1 is transitive, so there are as
+    # many valid triples as the anchor's class size times those whose
+    # anchor slot holds r, and the centralizer orbits of the
+    # representatives partition the latter.
+    datum = fam(2, 3, k, (2 * k,))
+    info = O._anchored_reps(datum, 2, O.DEFAULT_DEGREE_BOUND)
+    total = sum(len(O._orbit(rep, info.zgens)) for rep in info.reps)
+    assert total == survivors
+    anchor_class = P.class_size(datum.partitions[info.anchor])
+    assert anchor_class == factorial(2 * k - 1)
+    assert total * anchor_class == _frobenius_count(datum.partitions)
