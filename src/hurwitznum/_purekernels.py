@@ -3,10 +3,13 @@
 The hot loop of the oracle scans every fixed-point-free involution ``v`` of
 degree ``d`` and keeps those whose forced companion permutation has a
 prescribed cycle type while generating a transitive group together with the
-anchored permutation.  This module implements that scan in plain Python and
-is the reference the compiled twin `_speed` (built from `_speed.c`) is
-tested against; `kernels` picks one at import time, and only takes the
-compiled twin when its `API` equals this module's.
+anchored permutation.  The scan takes ``(d, first, phi, target, rot)``:
+``phi`` is the inverse of the anchor, and the anchor's point classes, which
+decide transitivity, are the cycles of ``phi``, found once per call.  This
+module implements that scan in plain Python and is the reference the
+compiled twin `_speed` (built from `_speed.c`) is tested against; `kernels`
+picks one at import time, and only takes the compiled twin when its `API`
+equals this module's.
 
 The scan keeps only involutions that are canonical under rotation of the
 anchor's cycle through point 0.  The oracle's anchor places that cycle on
@@ -25,7 +28,7 @@ from collections.abc import Sequence
 
 # Bumped whenever the signature or the semantics of the scan change; a
 # compiled twin whose `API` differs is stale and is not used.
-API = 2
+API = 3
 
 
 def backend() -> str:
@@ -36,21 +39,18 @@ def scan_involutions_block(
     d: int,
     first: int,
     phi: Sequence[int],
-    left: bool,
     target: Sequence[int],
-    anchor_parent: Sequence[int],
-    anchor_roots: int,
     rot: int,
 ) -> list[tuple[int, ...]]:
     """Surviving rotation-canonical involutions ``v`` with ``v(0) = first``.
 
     A fixed-point-free involution ``v`` of degree ``d`` survives iff
 
-    * the composite ``t`` (``t[x] = v[phi[x]]`` when ``left`` else
-      ``t[x] = phi[v[x]]``) has cycle type ``target`` (weakly decreasing), and
-    * the union of the anchor's point classes (``anchor_parent``, given as a
-      forest with ``anchor_roots`` roots pointing to themselves) with the
-      pairs of ``v`` is a single class, so the generated group is transitive,
+    * the composite ``t[x] = phi[v[x]]`` has cycle type ``target`` (weakly
+      decreasing; ``v∘phi`` is conjugate to ``t``, so either order keeps
+      the same ``v``), and
+    * the union of the cycles of ``phi`` with the pairs of ``v`` is a single
+      class, so the generated group is transitive,
 
     and it is canonical under rotation of ``0..rot-1`` (see the module
     docstring).
@@ -70,6 +70,15 @@ def scan_involutions_block(
         return []
     target = tuple(target)
     ntgt = len(target)
+    # The cycles of phi as a forest: every point of the cycle first reached
+    # from x points to x.  The walk stops even when phi is not a bijection.
+    forest = [-1] * d
+    for x in range(d):
+        y = x
+        while forest[y] < 0:
+            forest[y] = x
+            y = phi[y]
+    nroots = sum(1 for x in range(d) if forest[x] == x)
     v = [-1] * d
     v[0] = first
     v[first] = 0
@@ -81,12 +90,8 @@ def scan_involutions_block(
 
     def check() -> bool:
         nonlocal stamp
-        if left:
-            for i in range(d):
-                t[i] = v[phi[i]]
-        else:
-            for i in range(d):
-                t[i] = phi[v[i]]
+        for i in range(d):
+            t[i] = phi[v[i]]
         stamp += 1
         lengths = []
         for i in range(d):
@@ -103,7 +108,7 @@ def scan_involutions_block(
         lengths.sort(reverse=True)
         if tuple(lengths) != target:
             return False
-        parent = list(anchor_parent)
+        parent = list(forest)
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -111,7 +116,7 @@ def scan_involutions_block(
                 x = parent[x]
             return x
 
-        comp = anchor_roots
+        comp = nroots
         for x in range(d):
             rx, ry = find(x), find(v[x])
             if rx != ry:

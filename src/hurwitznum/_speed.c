@@ -1,18 +1,21 @@
 /* Compiled twin of `_purekernels.scan_involutions_block`.
 
-   Walks every fixed-point-free involution v of {0..d-1} with v(0) = first,
-   forms the composite t (t[x] = v[phi[x]] when left, else phi[v[x]]) and
-   keeps v when t has the target cycle type and the pairs of v join the
-   anchor's point classes into one, so that the generated group is
-   transitive.  It keeps only the v that are canonical under rotation of the
-   anchor's cycle 0..rot-1: for x < rot, label(x) = (v[x] - x) mod rot when
-   v[x] < rot, else rot + v[x], and v is kept when no label is below
-   label(0).  Rotating that cycle fixes the anchor and rotates the labels,
-   so every rotation orbit of survivors keeps a member; rot = 1 keeps all.
-   The pairs at 0..rot-1 are placed first, so a violated label cuts its
-   whole subtree.  The walk runs with the interpreter lock released, so
-   blocks scanned on several threads run in parallel.  Build it next to the
-   Python sources with `python3 setup.py build_ext --inplace`.
+   scan_involutions_block(d, first, phi, target, rot) walks every
+   fixed-point-free involution v of {0..d-1} with v(0) = first, forms the
+   composite t[x] = phi[v[x]] (v o phi is conjugate to it, so has the same
+   cycle type) and keeps v when t has the target cycle type and the pairs of
+   v join the anchor's point classes into one, so that the generated group
+   is transitive.  phi is the inverse of the anchor, so those classes are
+   the cycles of phi; they are found once per call.  It keeps only the v
+   that are canonical under rotation of the anchor's cycle 0..rot-1: for
+   x < rot, label(x) = (v[x] - x) mod rot when v[x] < rot, else rot + v[x],
+   and v is kept when no label is below label(0).  Rotating that cycle fixes
+   the anchor and rotates the labels, so every rotation orbit of survivors
+   keeps a member; rot = 1 keeps all.  The pairs at 0..rot-1 are placed
+   first, so a violated label cuts its whole subtree.  The walk runs with
+   the interpreter lock released, so blocks scanned on several threads run
+   in parallel.  Build it next to the Python sources with
+   `python3 setup.py build_ext --inplace`.
 
    API must equal `_purekernels.API`; `kernels` ignores a build whose API
    differs, so bump both whenever the signature or the semantics change.
@@ -22,11 +25,11 @@
 #include <Python.h> /* also includes stdlib.h and string.h */
 
 #define MAXD 32
-#define API 2
+#define API 3
 
 typedef struct {
-    int d, left, nroots, ntarget, rot, label0;
-    int phi[MAXD], target[MAXD], parent[MAXD];
+    int d, nroots, ntarget, rot, label0;
+    int phi[MAXD], target[MAXD], parent[MAXD]; /* parent: cycles of phi */
     int *out; /* survivors, d entries each */
     Py_ssize_t count, cap;
 } Scan;
@@ -52,7 +55,7 @@ static int survives(const Scan *s, const int *v)
     int t[MAXD], seen[MAXD] = {0}, lens[MAXD], uf[MAXD];
 
     for (int i = 0; i < d; i++)
-        t[i] = s->left ? v[s->phi[i]] : s->phi[v[i]];
+        t[i] = s->phi[v[i]];
     /* Cycle lengths of t, kept in weakly decreasing order. */
     for (int i = 0; i < d; i++) {
         if (seen[i])
@@ -133,7 +136,7 @@ static int walk(Scan *s, int *v, int *used, int npaired)
 static int read_ints(PyObject *obj, const char *name, int *out, int d, int exact,
                      long lo, long hi)
 {
-    PyObject *seq = PySequence_Fast(obj, "phi, target and anchor_parent must be sequences");
+    PyObject *seq = PySequence_Fast(obj, "phi and target must be sequences");
     if (seq == NULL)
         return -1;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
@@ -181,15 +184,13 @@ fail:
 
 static PyObject *scan_involutions_block(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"d", "first", "phi", "left", "target",
-                             "anchor_parent", "anchor_roots", "rot", NULL};
+    static char *kwlist[] = {"d", "first", "phi", "target", "rot", NULL};
     Scan s = {0};
     int first, ok, v[MAXD], used[MAXD] = {0};
-    PyObject *phi, *target, *parent, *result;
+    PyObject *phi, *target, *result;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOpOOii:scan_involutions_block", kwlist,
-                                     &s.d, &first, &phi, &s.left, &target, &parent,
-                                     &s.nroots, &s.rot))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOOi:scan_involutions_block", kwlist,
+                                     &s.d, &first, &phi, &target, &s.rot))
         return NULL;
     if (s.d < 2 || s.d > MAXD || s.d % 2)
         return PyErr_Format(PyExc_ValueError, "degree must be even and at most %d, got %d",
@@ -201,9 +202,16 @@ static PyObject *scan_involutions_block(PyObject *self, PyObject *args, PyObject
         return PyErr_Format(PyExc_ValueError, "rotated cycle length must be in 1..%d, got %d",
                             s.d, s.rot);
     if (read_ints(phi, "phi", s.phi, s.d, 1, 0, s.d - 1) < 0
-        || read_ints(parent, "anchor_parent", s.parent, s.d, 1, 0, s.d - 1) < 0
         || (s.ntarget = read_ints(target, "target", s.target, s.d, 0, 1, s.d)) < 0)
         return NULL;
+    /* Every point of the cycle of phi first reached from x points to x; the
+       walk stops even when phi is not a bijection. */
+    memset(s.parent, -1, sizeof s.parent);
+    for (int x = 0; x < s.d; x++) {
+        s.nroots += s.parent[x] < 0;
+        for (int y = x; s.parent[y] < 0; y = s.phi[y])
+            s.parent[y] = x;
+    }
 
     s.label0 = label(s.rot, 0, first);
     if (first < s.rot && label(s.rot, first, 0) < s.label0)

@@ -209,7 +209,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     for name in ("genus", "h", "k", "fmt", "threads", "convention", "max_d"):
         if hasattr(args, name):
-            setattr(cfg, name if name != "max_d" else "max_d", getattr(args, name))
+            setattr(cfg, name, getattr(args, name))
     if hasattr(args, "pi"):
         cfg.pi_text = args.pi
     if hasattr(args, "method"):
@@ -224,16 +224,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _datum_from_config(cfg: RunConfig) -> tuple[BranchDatum, tuple[int, ...]]:
-    if cfg.pi_text is None:
-        if cfg.h - 2 * cfg.genus + 2 == 1:
-            pi = (2 * cfg.k,)
-        else:
-            raise MalformedDatumError(
-                "--pi is required for this shape "
-                f"(expected {cfg.h - 2 * cfg.genus + 2} parts)"
-            )
-    else:
+    if cfg.pi_text is not None:
         pi = parse_partition(cfg.pi_text)
+    elif cfg.h - 2 * cfg.genus + 2 > 1:
+        raise MalformedDatumError(
+            f"--pi is required for this shape (expected {cfg.h - 2 * cfg.genus + 2} parts)"
+        )
+    else:
+        # One part, or none when h is below the compatibility window, which
+        # make_family_datum then reports.
+        pi = (2 * cfg.k,)
     return make_family_datum(cfg.genus, cfg.h, cfg.k, pi), pi
 
 

@@ -14,11 +14,14 @@ scan, streams the cheapest remaining class, forces the third permutation
 from the product relation, and merges survivors into orbits of the anchor's
 centralizer.  When the streamed class consists of fixed-point-free
 involutions the scan runs through the kernel backend and is split into
-disjoint blocks that can be processed by a thread pool.  The kernel keeps
-only involutions that are canonical under rotation of the anchor's cycle
-through point 0, so its survivors meet every centralizer orbit but are no
-longer closed under the centralizer.  The merge walks the orbit of each
-survivor that no walked orbit holds and represents it by its minimum, so
+disjoint blocks that can be processed by a thread pool.  The kernel takes
+``(d, first, phi, target, rot)``: ``phi`` is the inverse of the anchor, and
+its cycles, the anchor's point classes, decide transitivity; ``target`` is
+the forced slot's cycle type and ``rot`` the length of the anchor's cycle
+through point 0.  The kernel keeps only involutions that are canonical under
+rotation of that cycle, so its survivors meet every centralizer orbit but
+are no longer closed under the centralizer.  The merge walks the orbit of
+each survivor that no walked orbit holds and represents it by its minimum, so
 neither the representatives nor the counts depend on the thread count.
 """
 
@@ -217,24 +220,15 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
     if d % 2 == 0 and tau_s == (2,) * (d // 2) and d >= 2:
         # Fast path: stream the fixed-point-free involutions through the
         # kernel, split into blocks by the partner of point 0.
-        left = (stream - anchor) % 3 == 1
         phi = P.inverse(r)
-        anchor_cycles = P.cycles(r)
-        parent = [0] * d
-        for cyc in anchor_cycles:
-            for x in cyc:
-                parent[x] = cyc[0]
         blocks = list(range(1, d))
-
         # class_representative puts the first (largest) part on 0..c-1 as
         # x -> x + 1, so rotating that cycle commutes with r: the kernel
         # prunes by that rotation.
-        rot = len(anchor_cycles[0])
+        rot = datum.partitions[anchor][0]
 
         def run_block(first: int) -> list[P.Perm]:
-            return kernels.scan_involutions_block(
-                d, first, phi, left, tau_f, parent, len(anchor_cycles), rot
-            )
+            return kernels.scan_involutions_block(d, first, phi, tau_f, rot)
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -516,12 +510,3 @@ def unanchored_profile(
             1 for i in strong_roots if find(parent, i) == i
         )
     return strong, weak
-
-
-def unanchored_counts(
-    datum: BranchDatum, convention: WeakConvention
-) -> tuple[int, int]:
-    """(strong, weak) by exhaustive unanchored enumeration; see
-    unanchored_profile for the mechanics."""
-    strong, weak = unanchored_profile(datum)
-    return strong, weak[convention.label()]

@@ -102,6 +102,14 @@ def test_usage_errors_exit_one(capsys):
                "--pi", "14,1,1", "--method", "sorcery")[0] == 1
 
 
+def test_missing_pi_below_window_names_the_window(capsys):
+    # h = 1 < 2g-1 = 13: the fault is the window, not a missing --pi.
+    code, out, err = run(capsys, "count", "--genus", "7", "--h", "1", "--k", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: h=1 is below the compatibility window h >= 2g-1 = 13\n"
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_one(capsys, threads):
     code, out, err = run(capsys, "count", "--genus", "0", "--h", "1", "--k", "4",

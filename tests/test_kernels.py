@@ -25,46 +25,29 @@ needs_speed = pytest.mark.skipif(_speed is None, reason="hurwitznum._speed is no
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _random_case(rng, d):
-    """A random anchored-scan configuration of even degree d, with the length
-    of the anchor's cycle through 0."""
-    anchor_parts = tuple(rng.choice(B.partitions_of(d)))
-    r = P.class_representative(anchor_parts)
-    phi = P.inverse(r)
-    target = tuple(rng.choice(B.partitions_of(d)))
-    parent = [0] * d
-    for cyc in P.cycles(r):
-        for x in cyc:
-            parent[x] = cyc[0]
-    return phi, target, parent, len(P.cycles(r)), anchor_parts[0]
-
-
-def _random_args(rng, d):
-    """Random kernel arguments of degree d, with rot = 1 or the length of the
-    anchor's cycle through 0."""
-    phi, target, parent, nroots, c = _random_case(rng, d)
-    return (d, rng.randrange(1, d), phi, bool(rng.getrandbits(1)), target, parent, nroots,
-            rng.choice((1, c)))
-
-
-def _d_cycle_blocks(d):
-    """Every block of the anchored d-cycle against every target, with both
-    compositions and rot = d: the case the oracle prunes most."""
+def _cases(d, rng):
+    """Anchored-scan configurations (phi, target, c) of even degree d, with c
+    the length of the anchor's cycle through 0: the d-cycle, which the oracle
+    prunes most, against every target, then six random anchors and targets."""
     phi = P.inverse(P.class_representative((d,)))
     for target in B.partitions_of(d):
-        for first in range(1, d):
-            for left in (False, True):
-                yield (d, first, phi, left, tuple(target), [0] * d, 1, d)
-
-
-def _rotation_cases(d, rng):
-    """Configurations as `_random_case` gives them: the anchored d-cycle
-    against every target, then six random anchors."""
-    phi = P.inverse(P.class_representative((d,)))
-    for target in B.partitions_of(d):
-        yield phi, tuple(target), [0] * d, 1, d
+        yield phi, tuple(target), d
     for _ in range(6):
-        yield _random_case(rng, d)
+        parts = tuple(rng.choice(B.partitions_of(d)))
+        target = tuple(rng.choice(B.partitions_of(d)))
+        yield P.inverse(P.class_representative(parts)), target, parts[0]
+
+
+def _assert_agrees_with_pure(impl, d, rng):
+    """impl returns the pure twin's survivors, in the same order, on every
+    block of every case, with rot = 1 and rot = c."""
+    for phi, target, c in _cases(d, rng):
+        for first in range(1, d):
+            for rot in (1, c):
+                args = (d, first, phi, target, rot)
+                assert impl.scan_involutions_block(*args) == (
+                    _purekernels.scan_involutions_block(*args)
+                ), args
 
 
 def _rotations(v, c):
@@ -80,27 +63,18 @@ def _rotations(v, c):
 @needs_speed
 @pytest.mark.parametrize("d", [4, 6, 8, 10])
 def test_backends_agree_on_random_blocks(d):
-    rng = random.Random(d * 1009)
-    cases = [_random_args(rng, d) for _ in range(24)] + list(_d_cycle_blocks(d))
-    for args in cases:
-        got_fast = _speed.scan_involutions_block(*args)
-        got_pure = _purekernels.scan_involutions_block(*args)
-        assert got_fast == got_pure, args
+    _assert_agrees_with_pure(_speed, d, random.Random(d * 1009))
 
 
 @pytest.mark.parametrize("d", [4, 6, 8, 10])
 def test_rotation_keeps_a_member_of_every_orbit(d):
     rng = random.Random(d * 31)
-    for trial, (phi, target, parent, nroots, c) in enumerate(_rotation_cases(d, rng)):
-        left = bool(rng.getrandbits(1))
-
+    for trial, (phi, target, c) in enumerate(_cases(d, rng)):
         def scan(rot):
             return {
                 v
                 for first in range(1, d)
-                for v in _purekernels.scan_involutions_block(
-                    d, first, phi, left, target, parent, nroots, rot
-                )
+                for v in _purekernels.scan_involutions_block(d, first, phi, target, rot)
             }
 
         every, kept = scan(1), scan(c)
@@ -114,7 +88,7 @@ def test_rotation_prunes_blocks_whose_partner_label_is_smaller():
     # label(0) = first when c - first < first, so the whole block goes.
     d = 8
     r = P.class_representative((d,))
-    args = (P.inverse(r), True, (5, 2, 1), [0] * d, 1)
+    args = (P.inverse(r), (5, 2, 1))
     for impl in (_purekernels, _speed):
         if impl is None:
             continue
@@ -129,65 +103,55 @@ def test_backends_agree_on_family_blocks():
     # class companions of a reference-table row
     datum = B.make_family_datum(0, 1, 6, (9, 2, 1))
     d = datum.degree
-    r = P.class_representative(datum.partitions[1])
-    phi = P.inverse(r)
-    parent = [0] * d
-    for cyc in P.cycles(r):
-        for x in cyc:
-            parent[x] = cyc[0]
-    nroots = len(P.cycles(r))
-    for left in (False, True):
-        for first in range(1, d):
-            for rot in (1, datum.partitions[1][0]):
-                fast = _speed.scan_involutions_block(
-                    d, first, phi, left, datum.partitions[2], parent, nroots, rot
-                )
-                pure = _purekernels.scan_involutions_block(
-                    d, first, phi, left, datum.partitions[2], parent, nroots, rot
-                )
-                assert fast == pure
+    phi = P.inverse(P.class_representative(datum.partitions[1]))
+    for first in range(1, d):
+        for rot in (1, datum.partitions[1][0]):
+            args = (d, first, phi, datum.partitions[2], rot)
+            assert _speed.scan_involutions_block(*args) == (
+                _purekernels.scan_involutions_block(*args)
+            )
 
 
 @needs_speed
 def test_survivors_are_valid_involutions():
     d = 8
-    rng = random.Random(7)
-    phi, target, parent, nroots, c = _random_case(rng, d)
-    for first in range(1, d):
-        for v in _speed.scan_involutions_block(
-            d, first, phi, True, target, parent, nroots, c
-        ):
-            assert v[0] == first
-            assert P.cycle_type(v) == (2,) * (d // 2)
-            t = P.compose(v, phi)
-            assert P.cycle_type(t) == target
+    for phi, target, c in _cases(d, random.Random(7)):
+        r = P.inverse(phi)
+        for first in range(1, d):
+            for v in _speed.scan_involutions_block(d, first, phi, target, c):
+                assert v[0] == first
+                assert P.cycle_type(v) == (2,) * (d // 2)
+                assert P.cycle_type(P.compose(v, phi)) == target
+                assert P.is_transitive([r, v], d)
 
 
-def test_block_union_is_the_full_stream():
-    d = 6
-    datum = B.make_family_datum(0, 1, 3, (4, 1, 1))
-    r = P.class_representative(datum.partitions[1])
+@pytest.mark.parametrize(
+    "anchor",
+    [(3, 3), (2, 2, 2), (3, 2, 1), (4, 2, 2), (3, 3, 1, 1)],
+    ids=lambda parts: "-".join(map(str, parts)),
+)
+def test_block_union_is_the_full_stream(anchor):
+    # Several anchor cycles: the kernel's point classes, derived from phi,
+    # decide which survivors are transitive.
+    d = sum(anchor)
+    r = P.class_representative(anchor)
     phi = P.inverse(r)
-    parent = [0] * d
-    for cyc in P.cycles(r):
-        for x in cyc:
-            parent[x] = cyc[0]
-    nroots = len(P.cycles(r))
-    blocks = [
-        v
-        for first in range(1, d)
-        for v in _purekernels.scan_involutions_block(
-            d, first, phi, True, datum.partitions[2], parent, nroots, 1
+    for target in B.partitions_of(d):
+        brute = sorted(
+            v
+            for v in P.involution_stream(d)
+            if P.cycle_type(P.compose(v, phi)) == target and P.is_transitive([r, v], d)
         )
-    ]
-    assert len(set(blocks)) == len(blocks)
-    brute = [
-        v
-        for v in P.involution_stream(d)
-        if P.cycle_type(P.compose(v, phi)) == datum.partitions[2]
-        and P.is_transitive([r, v], d)
-    ]
-    assert sorted(blocks) == sorted(brute)
+        for impl in (_purekernels, _speed):
+            if impl is None:
+                continue
+            blocks = [
+                v
+                for first in range(1, d)
+                for v in impl.scan_involutions_block(d, first, phi, target, 1)
+            ]
+            assert len(set(blocks)) == len(blocks)
+            assert sorted(blocks) == brute, (impl.backend(), target)
 
 
 def test_kernel_input_validation():
@@ -195,16 +159,12 @@ def test_kernel_input_validation():
         if impl is None:
             continue
         with pytest.raises(ValueError):
-            impl.scan_involutions_block(5, 1, (0, 1, 2, 3, 4), True, (5,), [0] * 5, 1, 1)
+            impl.scan_involutions_block(5, 1, (0, 1, 2, 3, 4), (5,), 1)
         with pytest.raises(ValueError):
-            impl.scan_involutions_block(
-                4, 0, (0, 1, 2, 3), True, (2, 2), [0, 0, 2, 2], 2, 1
-            )
+            impl.scan_involutions_block(4, 0, (0, 1, 2, 3), (2, 2), 1)
         for rot in (0, 5):
             with pytest.raises(ValueError):
-                impl.scan_involutions_block(
-                    4, 1, (0, 1, 2, 3), True, (2, 2), [0, 0, 2, 2], 2, rot
-                )
+                impl.scan_involutions_block(4, 1, (0, 1, 2, 3), (2, 2), rot)
 
 
 def test_backend_names():
@@ -243,7 +203,7 @@ for w in caught:
 """
 
 
-@pytest.mark.parametrize("api", [None, _purekernels.API - 1, _purekernels.API])
+@pytest.mark.parametrize("api", [None, *range(1, _purekernels.API + 1)])
 def test_stale_compiled_kernel_falls_back_to_pure(api):
     # A build from an older _speed.c (no API, or another one) must not be
     # called with arguments it does not take; a current one is used.
@@ -281,20 +241,21 @@ def test_extension_builds_and_matches_pure(tmp_path):
     cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
     if not cc or shutil.which(cc[0]) is None:
         pytest.skip("no C compiler found")
-    subprocess.run(
+    # The extension is optional, so a failed compile still exits 0; a
+    # warning under -Wall fails the compile and leaves no module.
+    build = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(tmp_path / "lib"), "--build-temp", str(tmp_path / "tmp")],
-        cwd=ROOT, capture_output=True, check=True,
+        cwd=ROOT, capture_output=True, text=True, check=True,
+        env=dict(os.environ, CFLAGS="-Wall -Werror"),
     )
-    (path,) = (tmp_path / "lib" / "hurwitznum").glob("_speed*")
+    built_files = list((tmp_path / "lib" / "hurwitznum").glob("_speed*"))
+    assert len(built_files) == 1, build.stdout + build.stderr
+    (path,) = built_files
     spec = importlib.util.spec_from_file_location("hurwitznum._speed", path)
     built = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(built)
     assert built.backend() == "compiled"
     assert built.API == _purekernels.API
     for d in (4, 6, 8, 10):
-        rng = random.Random(d * 7919)
-        for args in [_random_args(rng, d) for _ in range(24)] + list(_d_cycle_blocks(d)):
-            assert built.scan_involutions_block(*args) == _purekernels.scan_involutions_block(
-                *args
-            ), args
+        _assert_agrees_with_pure(built, d, random.Random(d * 7919))

@@ -150,12 +150,8 @@ def test_unanchored_profile_matches_anchored():
                 datum,
                 conv.label(),
             )
-
-
-def test_unanchored_counts_wrapper():
-    datum = B.BranchDatum(2, 5, ((5,), (5,), (5,)))
-    strong, weak = O.unanchored_counts(datum, O.WITH_SLOT_SWAPS)
-    assert (strong, weak) == (4, 2)
+    strong, weak = O.unanchored_profile(B.BranchDatum(2, 5, ((5,), (5,), (5,))))
+    assert (strong, weak[O.WITH_SLOT_SWAPS.label()]) == (4, 2)
 
 
 def test_unanchored_rejects_large_degree():
