@@ -179,6 +179,24 @@ class FamilyParams:
     pi: Partition
 
 
+def check_family_params(g: int, h: int, k: int) -> None:
+    """Raise ValueError unless (g, h, k) admits a family datum for some pi:
+    each is in range, h is inside the compatibility window, and k leaves room
+    for the second partition.
+
+    >>> check_family_params(0, 1, 2)
+    Traceback (most recent call last):
+    ...
+    ValueError: k=2 is too small: need k >= h+2 = 3 to fit the second partition
+    """
+    if g < 0 or h < 0 or k < 1:
+        raise ValueError(f"parameters out of range: g={g}, h={h}, k={k}")
+    if h < 2 * g - 1:
+        raise ValueError(f"h={h} is below the compatibility window h >= 2g-1 = {2 * g - 1}")
+    if k < h + 2:
+        raise ValueError(f"k={k} is too small: need k >= h+2 = {h + 2} to fit the second partition")
+
+
 def make_family_datum(g: int, h: int, k: int, pi: tuple[int, ...]) -> BranchDatum:
     """Construct the family datum for (g, h, k, pi), validating each bound.
 
@@ -186,12 +204,7 @@ def make_family_datum(g: int, h: int, k: int, pi: tuple[int, ...]) -> BranchDatu
     '(g=1,d=6,[2,2,2],[3,3],[6])'
     """
     pi = tuple(pi)
-    if g < 0 or h < 0 or k < 1:
-        raise ValueError(f"parameters out of range: g={g}, h={h}, k={k}")
-    if h < 2 * g - 1:
-        raise ValueError(f"h={h} is below the compatibility window h >= 2g-1 = {2 * g - 1}")
-    if k < h + 2:
-        raise ValueError(f"k={k} is too small: need k >= h+2 = {h + 2} to fit the second partition")
+    check_family_params(g, h, k)
     if not is_partition(pi):
         raise ValueError(f"pi is not a canonical partition: {pi}")
     want_len = h - 2 * g + 2

@@ -10,7 +10,11 @@ Subcommands:
 * ``table``: print the full genus-0 reference table at k = 8 (21 rows:
   partition, case label, count, witnesses).
 * ``sweep``: run every in-scope datum up to a degree bound through all
-  available paths, report discrepancies, and cache results as JSON lines.
+  available paths and report discrepancies.  Only the oracle counts are
+  cached, as JSON lines; formulas and witnesses are recomputed on every run,
+  so a warm cache cannot hide a change to them.
+
+Each subcommand accepts only the flags it reads.
 
 Exit codes: 0 success, 1 usage or parse error, 2 cross-validation
 discrepancy, 3 infeasible degree, 4 cache I/O error.  All timings go to
@@ -35,10 +39,10 @@ from . import witnesses as W
 from .branchdata import (
     BranchDatum,
     MalformedDatumError,
+    check_family_params,
     family_data,
     coincident_partitions,
     datum_coincidences,
-    format_partition,
     make_family_datum,
     parse_partition,
     partitions_of,
@@ -51,11 +55,7 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
 CACHE_ENV = "HURWITZ_CACHE"
-CACHE_VERSION = 1
-
-# The convention selected by calibrate_convention on the default suite; see
-# DEFAULT_CALIBRATION_SUITE, whose entries pin both move axes.
-DEFAULT_CONVENTION = O.FULL_MOVES
+CACHE_VERSION = 2
 
 DEFAULT_CALIBRATION_SUITE: list[tuple[BranchDatum, int]] = [
     # Coincident-partition datum whose resolved count 3 requires the
@@ -66,8 +66,9 @@ DEFAULT_CALIBRATION_SUITE: list[tuple[BranchDatum, int]] = [
     (BranchDatum(1, 6, ((5, 1), (5, 1), (5, 1))), 3),
 ]
 
+# "full" is the default: calibrate_convention selects it on
+# DEFAULT_CALIBRATION_SUITE, whose entries pin both move axes.
 CONVENTIONS_BY_NAME = {
-    "auto": DEFAULT_CONVENTION,
     "full": O.FULL_MOVES,
     "reflection": O.WITH_REFLECTION,
     "swaps": O.WITH_SLOT_SWAPS,
@@ -76,34 +77,16 @@ CONVENTIONS_BY_NAME = {
 
 
 @dataclass
-class RunConfig:
-    """Parsed command-line options for one invocation."""
-
-    command: str
-    genus: int = 0
-    h: int = 0
-    k: int = 0
-    pi_text: str | None = None
-    method: str = "all"
-    convention: str = "auto"
-    max_d: int = O.DEFAULT_DEGREE_BOUND
-    threads: int = 1
-    fmt: str = "text"
-    cache_path: str | None = None
-    force: bool = False
-
-
-@dataclass
 class CountResult:
     """Counts for one datum, with provenance and agreement metadata."""
 
     datum: BranchDatum
     nu_weak: int
+    convention: str
     nu_strong: int | None = None
     label: str | None = None
     witnesses: list[W.DessinWitness] | None = None
     intermediates: dict[str, int] | None = None
-    convention: str = DEFAULT_CONVENTION.label()
     elapsed: float = 0.0
     per_method: dict[str, int] = field(default_factory=dict)
 
@@ -145,30 +128,19 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hurwitz", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_datum_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--genus", "-g", type=int, required=True, help="source genus g")
-        p.add_argument("--h", type=int, required=True, help="family parameter h")
-        p.add_argument("--k", type=int, required=True, help="half-degree k (d = 2k)")
+    def add_format(p: argparse.ArgumentParser, *choices: str) -> None:
         p.add_argument(
-            "--pi",
-            help="free partition, e.g. '14,1,1' or '[5,3,2^2]' "
-            "(defaults to the single part 2k when the shape allows)",
-        )
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            dest="fmt",
-            choices=("text", "json", "csv"),
-            default="text",
+            "--format", choices=("text", "json", *choices), default="text",
             help="output format",
         )
+
+    def add_oracle_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--threads", type=int, default=1, help="oracle thread count")
         p.add_argument(
             "--convention",
             choices=sorted(CONVENTIONS_BY_NAME),
-            default="auto",
-            help="weak-equivalence move set (auto = calibrated default)",
+            default="full",
+            help="weak-equivalence move set (full is the calibrated default)",
         )
         p.add_argument(
             "--max-d",
@@ -178,26 +150,36 @@ def build_parser() -> _Parser:
         )
 
     p_check = sub.add_parser("check", help="validate a datum and report structure")
-    add_datum_flags(p_check)
-    add_common(p_check)
-
+    p_check.set_defaults(run=cmd_check)
     p_count = sub.add_parser("count", help="compute the weak count for one datum")
-    add_datum_flags(p_count)
-    add_common(p_count)
+    p_count.set_defaults(run=cmd_count)
+    for p in (p_check, p_count):
+        p.add_argument("--genus", "-g", type=int, required=True, help="source genus g")
+        p.add_argument("--h", type=int, required=True, help="family parameter h")
+        p.add_argument("--k", type=int, required=True, help="half-degree k (d = 2k)")
+        p.add_argument(
+            "--pi",
+            help="free partition, e.g. '14,1,1' or '[5,3,2^2]' "
+            "(defaults to the single part 2k when the shape allows)",
+        )
+        add_format(p)
     p_count.add_argument(
         "--method",
         choices=("formula", "oracle", "witnesses", "all"),
         default="all",
         help="which computation path(s) to run",
     )
+    add_oracle_flags(p_count)
 
     p_table = sub.add_parser("table", help="print the k=8 genus-0 reference table")
-    p_table.add_argument("table_id", nargs="?", type=int, default=1, help="table number")
-    add_common(p_table)
+    p_table.set_defaults(run=cmd_table)
+    add_format(p_table, "csv")
 
     p_sweep = sub.add_parser("sweep", help="cross-validate every datum up to a bound")
-    add_common(p_sweep)
-    p_sweep.add_argument("--cache", dest="cache_path", help="JSON-lines cache file")
+    p_sweep.set_defaults(run=cmd_sweep)
+    add_format(p_sweep)
+    add_oracle_flags(p_sweep)
+    p_sweep.add_argument("--cache", help="JSON-lines cache file of oracle counts")
     p_sweep.add_argument(
         "--force", action="store_true", help="recompute even when cached"
     )
@@ -205,48 +187,27 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("genus", "h", "k", "fmt", "threads", "convention", "max_d"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "pi"):
-        cfg.pi_text = args.pi
-    if hasattr(args, "method"):
-        cfg.method = args.method
-    if hasattr(args, "cache_path"):
-        cfg.cache_path = args.cache_path
-    if hasattr(args, "force"):
-        cfg.force = args.force
-    if cfg.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {cfg.threads}")
-    return cfg
-
-
-def _datum_from_config(cfg: RunConfig) -> tuple[BranchDatum, tuple[int, ...]]:
-    if cfg.pi_text is not None:
-        pi = parse_partition(cfg.pi_text)
-    elif cfg.h - 2 * cfg.genus + 2 > 1:
+def _datum_from_args(args: argparse.Namespace) -> tuple[BranchDatum, tuple[int, ...]]:
+    # The parameters are checked first, so that a fault in them is reported
+    # rather than a missing --pi.
+    check_family_params(args.genus, args.h, args.k)
+    if args.pi is not None:
+        pi = parse_partition(args.pi)
+    elif args.h - 2 * args.genus + 2 > 1:
         raise MalformedDatumError(
-            f"--pi is required for this shape (expected {cfg.h - 2 * cfg.genus + 2} parts)"
+            f"--pi is required for this shape (expected {args.h - 2 * args.genus + 2} parts)"
         )
     else:
-        # One part, or none when h is below the compatibility window, which
-        # make_family_datum then reports.
-        pi = (2 * cfg.k,)
-    return make_family_datum(cfg.genus, cfg.h, cfg.k, pi), pi
+        pi = (2 * args.k,)
+    return make_family_datum(args.genus, args.h, args.k, pi), pi
 
 
-def _convention(cfg: RunConfig) -> O.WeakConvention:
-    return CONVENTIONS_BY_NAME[cfg.convention]
-
-
-def cmd_check(cfg: RunConfig) -> int:
-    datum, _pi = _datum_from_config(cfg)
-    possible = coincident_partitions(cfg.genus, cfg.h, cfg.k)
+def cmd_check(args: argparse.Namespace) -> int:
+    datum, _pi = _datum_from_args(args)
+    possible = coincident_partitions(args.genus, args.h, args.k)
     actual = datum_coincidences(datum)
     resolution = W.coincident_resolution(datum)
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -279,39 +240,39 @@ def cmd_check(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _compute_count(cfg: RunConfig) -> CountResult:
-    datum, pi = _datum_from_config(cfg)
-    conv = _convention(cfg)
+def _compute_count(args: argparse.Namespace) -> CountResult:
+    datum, pi = _datum_from_args(args)
+    conv = CONVENTIONS_BY_NAME[args.convention]
     started = time.perf_counter()
     result = CountResult(datum=datum, nu_weak=0, convention=conv.label())
 
     methods = (
-        ("formula", "witnesses", "oracle") if cfg.method == "all" else (cfg.method,)
+        ("formula", "witnesses", "oracle") if args.method == "all" else (args.method,)
     )
     for method in methods:
         if method == "formula":
-            fr = F.nu_for_family(cfg.genus, cfg.h, cfg.k, pi)
+            fr = F.nu_for_family(args.genus, args.h, args.k, pi)
             result.label = fr.label
             result.intermediates = fr.intermediates
             result.per_method["formula"] = fr.nu
         elif method == "witnesses":
-            if (cfg.genus, cfg.h) not in W.FAMILIES:
-                if cfg.method != "all":
+            if (args.genus, args.h) not in W.FAMILIES:
+                if args.method != "all":
                     raise ValueError(
-                        f"no witness families for (g={cfg.genus}, h={cfg.h})"
+                        f"no witness families for (g={args.genus}, h={args.h})"
                     )
                 continue
-            ws = W.enumerate_witnesses(cfg.genus, cfg.h, cfg.k, pi)
+            ws = W.enumerate_witnesses(args.genus, args.h, args.k, pi)
             result.witnesses = ws
             result.per_method["witnesses"] = len(ws)
         else:
-            if cfg.method == "all" and datum.degree > cfg.max_d:
+            if args.method == "all" and datum.degree > args.max_d:
                 continue
             result.nu_strong = O.strong_hurwitz(
-                datum, threads=cfg.threads, degree_bound=cfg.max_d
+                datum, threads=args.threads, degree_bound=args.max_d
             )
             result.per_method["oracle"] = O.weak_hurwitz(
-                datum, conv, threads=cfg.threads, degree_bound=cfg.max_d
+                datum, conv, threads=args.threads, degree_bound=args.max_d
             )
     result.nu_weak = result.per_method[
         "oracle" if "oracle" in result.per_method else methods[0]
@@ -320,10 +281,10 @@ def _compute_count(cfg: RunConfig) -> CountResult:
     return result
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    result = _compute_count(cfg)
+def cmd_count(args: argparse.Namespace) -> int:
+    result = _compute_count(args)
     print(f"elapsed: {result.elapsed * 1000:.1f} ms", file=sys.stderr)
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps(result.to_json(), sort_keys=True))
     else:
         print(f"datum: {result.datum}")
@@ -340,7 +301,7 @@ def cmd_count(cfg: RunConfig) -> int:
                 f"  [strong {result.nu_strong}]"
             )
         print(f"nu: {result.nu_weak}")
-        if cfg.method == "all":
+        if args.method == "all":
             print("agreement: " + ("NO - DISCREPANT" if result.discrepant else "yes"))
     return EXIT_DISCREPANCY if result.discrepant else EXIT_OK
 
@@ -387,35 +348,16 @@ def render_table(fmt: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_table(cfg: RunConfig, table_id: int = 1) -> int:
-    if table_id != 1:
-        print(f"unknown table id {table_id}", file=sys.stderr)
-        return EXIT_USAGE
-    sys.stdout.write(render_table(cfg.fmt))
+def cmd_table(args: argparse.Namespace) -> int:
+    sys.stdout.write(render_table(args.format))
     return EXIT_OK
 
 
-def _cache_path(cfg: RunConfig) -> str | None:
-    return cfg.cache_path or os.environ.get(CACHE_ENV)
-
-
-def _cache_key(datum: BranchDatum, method: str, convention: str) -> str:
-    return json.dumps(
-        {
-            "datum": datum.to_json(),
-            "method": method,
-            "convention": convention,
-            "version": CACHE_VERSION,
-        },
-        sort_keys=True,
-    )
-
-
-def _load_cache(path: str) -> tuple[dict[str, int], int]:
-    """The cached counts by key, and the number of lines skipped because
-    they are not a current-version entry with a datum, a method, a
-    convention and an integer ``nu``."""
-    cache: dict[str, int] = {}
+def _load_cache(path: str) -> tuple[dict[tuple[BranchDatum, str], int], int]:
+    """The cached oracle counts by (datum, convention label), and the number
+    of lines skipped because they are not a current-version entry with a
+    datum, a convention and an integer ``nu``."""
+    cache: dict[tuple[BranchDatum, str], int] = {}
     skipped = 0
     if not os.path.exists(path):
         return cache, skipped
@@ -426,32 +368,28 @@ def _load_cache(path: str) -> tuple[dict[str, int], int]:
                 continue
             try:
                 entry = json.loads(line)
-                key = _cache_key(
-                    BranchDatum.from_json(entry["datum"]),
-                    entry["method"],
-                    entry["convention"],
-                )
-                usable = type(entry["nu"]) is int and entry.get("version") == CACHE_VERSION
+                key = (BranchDatum.from_json(entry["datum"]), entry["convention"])
+                if type(entry["nu"]) is int and entry["version"] == CACHE_VERSION:
+                    cache[key] = entry["nu"]
+                    continue
             except (KeyError, TypeError, ValueError):
-                usable = False
-            if not usable:
-                skipped += 1
-                continue
-            cache[key] = entry["nu"]
+                pass
+            skipped += 1
     return cache, skipped
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.max_d > O.DEFAULT_DEGREE_BOUND:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.max_d > O.DEFAULT_DEGREE_BOUND:
         print(
-            f"sweep bound d={cfg.max_d} exceeds the oracle feasibility bound "
+            f"sweep bound d={args.max_d} exceeds the oracle feasibility bound "
             f"{O.DEFAULT_DEGREE_BOUND}",
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE
-    conv = _convention(cfg)
-    path = _cache_path(cfg)
-    cache: dict[str, int] = {}
+    conv = CONVENTIONS_BY_NAME[args.convention]
+    label = conv.label()
+    path = args.cache or os.environ.get(CACHE_ENV)
+    cache: dict[tuple[BranchDatum, str], int] = {}
     if path is not None:
         try:
             cache, skipped = _load_cache(path)
@@ -464,64 +402,42 @@ def cmd_sweep(cfg: RunConfig) -> int:
     started = time.perf_counter()
     computed = 0
     reused = 0
-    stack = contextlib.ExitStack()
-    sink = None  # the cache file, opened for append on the first new entry
-
-    def run(datum: BranchDatum, method: str, convention: str, compute) -> int:
-        nonlocal computed, reused, sink
-        key = _cache_key(datum, method, convention)
-        if not cfg.force and key in cache:
-            reused += 1
-            return cache[key]
-        nu = compute()
-        computed += 1
-        cache[key] = nu
-        if path is not None:
-            # Written and flushed at once, so an interrupted sweep keeps
-            # every entry it computed.
-            if sink is None:
-                sink = stack.enter_context(open(path, "a", encoding="utf-8"))
-            entry = {
-                "datum": datum.to_json(),
-                "method": method,
-                "nu": nu,
-                "convention": convention,
-                "version": CACHE_VERSION,
-            }
-            sink.write(json.dumps(entry, sort_keys=True) + "\n")
-            sink.flush()
-        return nu
-
     per_shape: dict[tuple[int, int], list[int]] = {}
     discrepancies: list[str] = []
     records = []
     try:
-        with stack:
-            for params, datum in family_data(cfg.max_d):
-                values: dict[str, int] = {}
-                values["formula"] = run(
-                    datum,
-                    "formula",
-                    "-",
-                    lambda: F.nu_for_family(params.g, params.h, params.k, params.pi).nu,
-                )
+        with contextlib.ExitStack() as stack:
+            sink = None  # the cache file, opened for append on the first new entry
+            for params, datum in family_data(args.max_d):
+                values = {
+                    "formula": F.nu_for_family(params.g, params.h, params.k, params.pi).nu
+                }
                 if (params.g, params.h) in W.FAMILIES:
-                    values["witnesses"] = run(
-                        datum,
-                        "witnesses",
-                        "-",
-                        lambda: len(
-                            W.enumerate_witnesses(params.g, params.h, params.k, params.pi)
-                        ),
+                    values["witnesses"] = len(
+                        W.enumerate_witnesses(params.g, params.h, params.k, params.pi)
                     )
-                values["oracle"] = run(
-                    datum,
-                    "oracle",
-                    conv.label(),
-                    lambda: O.weak_hurwitz(
-                        datum, conv, threads=cfg.threads, degree_bound=cfg.max_d
-                    ),
-                )
+                key = (datum, label)
+                if not args.force and key in cache:
+                    reused += 1
+                else:
+                    cache[key] = O.weak_hurwitz(
+                        datum, conv, threads=args.threads, degree_bound=args.max_d
+                    )
+                    computed += 1
+                    if path is not None:
+                        # Written and flushed at once, so an interrupted sweep
+                        # keeps every entry it computed.
+                        if sink is None:
+                            sink = stack.enter_context(open(path, "a", encoding="utf-8"))
+                        entry = {
+                            "datum": datum.to_json(),
+                            "nu": cache[key],
+                            "convention": label,
+                            "version": CACHE_VERSION,
+                        }
+                        sink.write(json.dumps(entry, sort_keys=True) + "\n")
+                        sink.flush()
+                values["oracle"] = cache[key]
                 ok = len(set(values.values())) == 1
                 shape = (params.g, params.h)
                 per_shape.setdefault(shape, [0, 0])
@@ -548,12 +464,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     )
     total = sum(n for n, _ in per_shape.values())
     bad = sum(b for _, b in per_shape.values())
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
-                    "max_d": cfg.max_d,
-                    "convention": conv.label(),
+                    "max_d": args.max_d,
+                    "convention": label,
                     "data": records,
                     "total": total,
                     "discrepancies": bad,
@@ -562,7 +478,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             )
         )
     else:
-        print(f"sweep: max_d={cfg.max_d} convention={conv.label()}")
+        print(f"sweep: max_d={args.max_d} convention={label}")
         for (g, h), (n, b) in sorted(per_shape.items()):
             print(f"(g={g},h={h}): {n} data, {b} discrepancies")
         for line in discrepancies:
@@ -578,14 +494,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "check":
-            return cmd_check(cfg)
-        if cfg.command == "count":
-            return cmd_count(cfg)
-        if cfg.command == "table":
-            return cmd_table(cfg, getattr(args, "table_id", 1))
-        return cmd_sweep(cfg)
+        threads = getattr(args, "threads", 1)
+        if threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {threads}")
+        return args.run(args)
     except O.InfeasibleDegreeError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

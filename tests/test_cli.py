@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, caching, determinism."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hurwitznum import cli
 from hurwitznum import formulas as F
 
 GOLDEN = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -102,12 +104,60 @@ def test_usage_errors_exit_one(capsys):
                "--pi", "14,1,1", "--method", "sorcery")[0] == 1
 
 
-def test_missing_pi_below_window_names_the_window(capsys):
-    # h = 1 < 2g-1 = 13: the fault is the window, not a missing --pi.
-    code, out, err = run(capsys, "count", "--genus", "7", "--h", "1", "--k", "3")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ("count", "--genus", "7", "--h", "1", "--k", "3"),
+            "h=1 is below the compatibility window h >= 2g-1 = 13",
+            id="window",
+        ),
+        pytest.param(
+            ("check", "--genus", "-1", "--h", "1", "--k", "3"),
+            "parameters out of range: g=-1, h=1, k=3",
+            id="genus",
+        ),
+        pytest.param(
+            ("check", "--genus", "0", "--h", "1", "--k", "0"),
+            "parameters out of range: g=0, h=1, k=0",
+            id="k-range",
+        ),
+        pytest.param(
+            ("check", "--genus", "0", "--h", "1", "--k", "2"),
+            "k=2 is too small: need k >= h+2 = 3 to fit the second partition",
+            id="k-room",
+        ),
+    ],
+)
+def test_missing_pi_below_window_names_the_window(capsys, argv, message):
+    # Without --pi, the fault in g, h or k is reported, not the missing --pi.
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err == "error: h=1 is below the compatibility window h >= 2g-1 = 13\n"
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--genus", "0", "--h", "1", "--k", "4", "--pi", "6,1,1",
+         "--threads", "2"),
+        ("check", "--genus", "0", "--h", "1", "--k", "4", "--pi", "6,1,1",
+         "--max-d", "8"),
+        ("table", "--convention", "swaps"),
+        ("count", "--genus", "0", "--h", "1", "--k", "4", "--pi", "6,1,1",
+         "--format", "csv"),
+        ("sweep", "--max-d", "4", "--format", "csv"),
+        ("count", "--genus", "0", "--h", "1", "--k", "4", "--pi", "6,1,1",
+         "--convention", "auto"),
+    ],
+    ids=["check-threads", "check-max-d", "table-convention", "count-csv",
+         "sweep-csv", "count-auto"],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -184,7 +234,22 @@ def test_sweep_ignores_corrupt_cache_lines(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", [json.dumps({"version": 1, "method": "formula"}), "[1, 2]"]
+    "line",
+    [
+        json.dumps({"version": 1, "method": "formula"}),
+        "[1, 2]",
+        # an entry in the format of cache version 1
+        json.dumps(
+            {
+                "convention": "conjugation+swaps+reflection",
+                "datum": {"d": 4, "g": 0, "partitions": [[2, 2], [3, 1], [3, 1]]},
+                "method": "oracle",
+                "nu": 99,
+                "version": 1,
+            },
+            sort_keys=True,
+        ),
+    ],
 )
 def test_sweep_skips_cache_lines_that_are_not_entries(capsys, tmp_path, line):
     clean = tmp_path / "clean.jsonl"
@@ -216,13 +281,27 @@ def test_interrupted_sweep_keeps_computed_entries(capsys, tmp_path, monkeypatch)
         cli.main(["sweep", "--max-d", "6", "--cache", str(cache)])
     lines = cache.read_text().splitlines()
     assert lines == clean.read_text().splitlines()[: len(lines)]
-    assert sum(json.loads(line)["method"] == "oracle" for line in lines) == 3
+    assert len(lines) == 3
 
     monkeypatch.setattr(cli.O, "weak_hurwitz", weak_hurwitz)
     code, out, err = run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))
     assert code == 0
     assert out == expected
     assert f"{len(lines)} cached" in err
+
+
+def test_cache_cannot_mask_a_formula_change(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    assert run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))[0] == 0
+    monkeypatch.setattr(
+        cli.F,
+        "nu_for_family",
+        lambda g, h, k, pi: F.FormulaResult(nu=99, label="forced"),
+    )
+    code, out, err = run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))
+    assert code == 2
+    assert "DISCREPANT" in out
+    assert "0 computed" in err
 
 
 def test_sweep_env_var_cache(capsys, tmp_path, monkeypatch):
@@ -281,3 +360,24 @@ def test_convention_flag(capsys):
                        "--method", "oracle", "--convention", "full")
     assert code == 0
     assert "nu: 3" in out
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ``hurwitz ...`` lines of README's "Command line" code block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line)[1:]
+        for line in block.splitlines()
+        if line.startswith("hurwitz ")
+    ]
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    commands = _readme_commands()
+    assert len(commands) >= 4
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
