@@ -361,18 +361,20 @@ def _load_cache(path: str) -> tuple[dict[tuple[BranchDatum, str], int], int]:
     skipped = 0
     if not os.path.exists(path):
         return cache, skipped
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             try:
-                entry = json.loads(line)
+                # UnicodeDecodeError is a ValueError; a deeply nested line
+                # makes the decoder raise RecursionError.
+                entry = json.loads(line.decode("utf-8"))
                 key = (BranchDatum.from_json(entry["datum"]), entry["convention"])
                 if type(entry["nu"]) is int and entry["version"] == CACHE_VERSION:
                     cache[key] = entry["nu"]
                     continue
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, RecursionError):
                 pass
             skipped += 1
     return cache, skipped

@@ -11,18 +11,19 @@ be calibrated against trusted counts.
 
 The enumeration anchors the slot whose conjugacy class is most expensive to
 scan, streams the cheapest remaining class, forces the third permutation
-from the product relation, and merges survivors into orbits of the anchor's
-centralizer.  When the streamed class consists of fixed-point-free
-involutions the scan runs through the kernel backend and is split into
-disjoint blocks that can be processed by a thread pool.  The kernel takes
+from the product relation, and merges survivors by a canonical form of the
+triple.  When the streamed class consists of fixed-point-free involutions
+the scan runs through the kernel backend and is split into disjoint blocks
+that can be processed by a thread pool.  The kernel takes
 ``(d, first, phi, target, rot)``: ``phi`` is the inverse of the anchor, and
 its cycles, the anchor's point classes, decide transitivity; ``target`` is
 the forced slot's cycle type and ``rot`` the length of the anchor's cycle
 through point 0.  The kernel keeps only involutions that are canonical under
-rotation of that cycle, so its survivors meet every centralizer orbit but
-are no longer closed under the centralizer.  The merge walks the orbit of
-each survivor that no walked orbit holds and represents it by its minimum, so
-neither the representatives nor the counts depend on the thread count.
+rotation of that cycle, so its survivors meet every conjugation orbit but
+are not closed under the anchor's centralizer.  Two triples are conjugate
+exactly when their forms are equal, so the merge keeps one survivor per
+form, the least, and neither the representatives nor the counts depend on
+the thread count.
 """
 
 from __future__ import annotations
@@ -158,8 +159,10 @@ def _choose_slots(datum: BranchDatum, anchor: int | None = None) -> tuple[int, i
 
     Unless ``anchor`` is given, the anchor is the slot whose remaining
     cheapest class costs least to stream, with ties broken towards the
-    smallest centralizer (cheap orbit merging) and then the slot index; the
-    streamed slot is the cheapest remaining class.
+    smallest centralizer and then the slot index; the streamed slot is the
+    cheapest remaining class.  The counts do not depend on the anchor, but
+    the tie-break fixes it, and with it ``rot`` and the kernel's work, for
+    data whose slots tie on streaming cost.
     """
     sizes = [P.class_size(pi) for pi in datum.partitions]
 
@@ -173,32 +176,44 @@ def _choose_slots(datum: BranchDatum, anchor: int | None = None) -> tuple[int, i
     return anchor, stream, 3 - anchor - stream
 
 
+Form = tuple[P.Perm, P.Perm]
+
+
 @dataclass(frozen=True)
 class _AnchoredReps:
     anchor: int
-    r: P.Perm
-    zgens: tuple[P.Perm, ...]
     reps: tuple[Triple, ...]
+    forms: tuple[Form, ...]  # forms[i] is the form of reps[i]
 
 
-def _orbit(triple: Triple, zgens: tuple[P.Perm, ...]) -> set[Triple]:
-    """The orbit of a triple under simultaneous conjugation by <zgens>."""
-    seen = {triple}
-    frontier = [triple]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for g in zgens:
-                u = (P.conjugate(t[0], g), P.conjugate(t[1], g), P.conjugate(t[2], g))
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return seen
+def _form(t: Triple) -> Form:
+    """A complete invariant of simultaneous conjugation of a transitive triple.
 
+    From each start point the points are relabelled in breadth-first order,
+    following ``s1`` and then ``s2``; the form is the least relabelled
+    ``(s1, s2)`` over all starts.  Conjugating the triple only moves the
+    start points, and ``s3`` is forced by the other two, so two triples are
+    conjugate exactly when their forms are equal.
+    """
+    s1, s2 = t[0], t[1]
+    d = len(s1)
 
-def _canonical(triple: Triple, zgens: tuple[P.Perm, ...]) -> Triple:
-    return min(_orbit(triple, zgens))
+    def relabelled(p: int) -> Form:
+        label = [-1] * d
+        label[p] = 0
+        order = [p]
+        for x in order:  # order grows as the walk labels new points
+            y = s1[x]
+            if label[y] < 0:
+                label[y] = len(order)
+                order.append(y)
+            y = s2[x]
+            if label[y] < 0:
+                label[y] = len(order)
+                order.append(y)
+        return (tuple([label[s1[x]] for x in order]), tuple([label[s2[x]] for x in order]))
+
+    return min([relabelled(p) for p in range(d)])
 
 
 def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) -> _AnchoredReps:
@@ -209,7 +224,6 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
     tau_s = datum.partitions[stream]
     tau_f = datum.partitions[forced]
     r = P.class_representative(datum.partitions[anchor])
-    zgens = tuple(P.centralizer_generators(r))
 
     survivors: set[Triple] = set()
 
@@ -252,20 +266,15 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
                 assert P.compose(t1, P.compose(t2, t3)) == id_d
             survivors.add(triple)
 
-    # Merge survivors into centralizer orbits.  The survivors meet every
-    # orbit but need not be closed under the centralizer, because the
-    # kernel skips involutions that are not rotation-canonical.  So walk the
-    # orbit of each survivor that no walked orbit holds yet: one walk per
-    # orbit.
-    reps: list[Triple] = []
-    seen: set[Triple] = set()
+    least: dict[Form, Triple] = {}
     for t in survivors:
-        if t not in seen:
-            orbit = _orbit(t, zgens)
-            seen |= orbit
-            reps.append(min(orbit))
-    reps.sort()
-    return _AnchoredReps(anchor=anchor, r=r, zgens=zgens, reps=tuple(reps))
+        f = _form(t)
+        if f not in least or t < least[f]:
+            least[f] = t
+    pairs = sorted((t, f) for f, t in least.items())
+    return _AnchoredReps(
+        anchor=anchor, reps=tuple(t for t, _ in pairs), forms=tuple(f for _, f in pairs)
+    )
 
 
 _REPS_CACHE: dict[tuple[BranchDatum, int | None], _AnchoredReps] = {}
@@ -288,9 +297,10 @@ def enumerate_triples(
 ) -> list[MonodromyTriple]:
     """One representative per simultaneous-conjugation orbit of valid triples.
 
-    Representatives are minimal in the lexicographic order on image-tuple
-    triples within their orbit of the anchored centralizer action, and the
-    list is sorted, so the output is deterministic.
+    Each representative is the least scan survivor, in the lexicographic
+    order on image-tuple triples, with its canonical form; the survivors and
+    so the representatives do not depend on the thread count, and the list
+    is sorted, so the output is deterministic.
     """
     info = _anchored_reps(datum, threads, degree_bound)
     return [MonodromyTriple(*t) for t in info.reps]
@@ -343,7 +353,7 @@ def _weak_moves(
 
 def _weak_orbit_count(datum: BranchDatum, info: _AnchoredReps, convention: WeakConvention) -> int:
     reps = info.reps
-    index = {t: i for i, t in enumerate(reps)}
+    index = {f: i for i, f in enumerate(info.forms)}
     parent = list(range(len(reps)))
 
     def find(x: int) -> int:
@@ -365,15 +375,7 @@ def _weak_orbit_count(datum: BranchDatum, info: _AnchoredReps, convention: WeakC
             if __debug__:
                 assert P.compose(u[0], P.compose(u[1], u[2])) == id_d
                 assert tuple(P.cycle_type(s) for s in u) == datum.partitions
-            # Re-anchor: align the anchor slot back onto r, then canonicalize.
-            g = P.conjugator_to(u[info.anchor], info.r)
-            aligned = (
-                P.conjugate(u[0], g),
-                P.conjugate(u[1], g),
-                P.conjugate(u[2], g),
-            )
-            canon = _canonical(aligned, info.zgens)
-            union(i, index[canon])
+            union(i, index[_form(u)])
 
     return sum(1 for i in range(len(reps)) if find(i) == i)
 

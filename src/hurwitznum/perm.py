@@ -258,49 +258,6 @@ def class_representative(parts: Sequence[int]) -> Perm:
     return from_cycles(start, out)
 
 
-def centralizer_generators(p: Perm) -> list[Perm]:
-    """A generating set of the centralizer of ``p`` in the symmetric group.
-
-    The generators are each cycle of ``p`` itself (rotation of that cycle)
-    plus, for every pair of consecutive equal-length cycles, the involution
-    swapping them pointwise.  The generated subgroup has order
-    ``prod(c_i^{m_i} * m_i!)``.
-    """
-    d = len(p)
-    cycs = sorted(cycles(p), key=lambda c: (len(c), c[0]))
-    gens: list[Perm] = []
-    for cyc in cycs:
-        if len(cyc) > 1:
-            gens.append(from_cycles(d, [cyc]))
-    for a, b in zip(cycs, cycs[1:]):
-        if len(a) == len(b):
-            images = list(range(d))
-            for x, y in zip(a, b):
-                images[x] = y
-                images[y] = x
-            gens.append(tuple(images))
-    return gens
-
-
-def subgroup(gens: Sequence[Perm], d: int) -> set[Perm]:
-    """The subgroup generated by ``gens``, materialized by closure."""
-    for g in gens:
-        if len(g) != d:
-            raise ValueError(f"degree mismatch: {len(g)} != {d}")
-    group = {identity(d)}
-    frontier = [identity(d)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                e = compose(h, g)
-                if e not in group:
-                    group.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    return group
-
-
 def is_transitive(gens: Sequence[Perm], d: int) -> bool:
     """True iff the group generated by ``gens`` has a single orbit.
 
@@ -326,23 +283,3 @@ def is_transitive(gens: Sequence[Perm], d: int) -> bool:
                 parent[rx] = ry
                 components -= 1
     return components == 1
-
-
-def conjugator_to(p: Perm, target: Perm) -> Perm:
-    """A permutation ``g`` with ``g p g^-1 = target``.
-
-    Requires equal cycle types.  The choice of ``g`` is deterministic: the
-    cycles of both sides are matched in order of (length decreasing, smallest
-    point increasing) and mapped point by point.
-    """
-    if cycle_type(p) != cycle_type(target):
-        raise ValueError("cycle types differ, no conjugator exists")
-
-    def key(c: tuple[int, ...]) -> tuple[int, int]:
-        return (-len(c), c[0])
-
-    images = [0] * len(p)
-    for cp, ct in zip(sorted(cycles(p), key=key), sorted(cycles(target), key=key)):
-        for x, y in zip(cp, ct):
-            images[x] = y
-    return tuple(images)

@@ -236,8 +236,8 @@ def test_sweep_ignores_corrupt_cache_lines(capsys, tmp_path):
 @pytest.mark.parametrize(
     "line",
     [
-        json.dumps({"version": 1, "method": "formula"}),
-        "[1, 2]",
+        json.dumps({"version": 1, "method": "formula"}).encode(),
+        b"[1, 2]",
         # an entry in the format of cache version 1
         json.dumps(
             {
@@ -248,14 +248,16 @@ def test_sweep_ignores_corrupt_cache_lines(capsys, tmp_path):
                 "version": 1,
             },
             sort_keys=True,
-        ),
+        ).encode(),
+        pytest.param(b"[" * 100_000, id="deeply-nested"),
+        pytest.param(b"\xff\xfe", id="not-utf-8"),
     ],
 )
 def test_sweep_skips_cache_lines_that_are_not_entries(capsys, tmp_path, line):
     clean = tmp_path / "clean.jsonl"
     _, expected, _ = run(capsys, "sweep", "--max-d", "6", "--cache", str(clean))
     cache = tmp_path / "cache.jsonl"
-    cache.write_text(line + "\n" + clean.read_text())
+    cache.write_bytes(line + b"\n" + clean.read_bytes())
     code, out, err = run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))
     assert code == 0
     assert out == expected

@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hurwitznum import branchdata as B
 from hurwitznum import oracle as O
@@ -110,9 +111,30 @@ def test_moves_preserve_the_datum():
             assert P.cycle_type(s2) == (5, 1)
             assert P.cycle_type(s3) == (5, 1)
         # the reversal is an involution up to simultaneous conjugation
-        v = O._move_reflection(O._move_reflection(t))
-        g = P.conjugator_to(v[0], t[0])
-        assert all(P.conjugate(v[i], g) == t[i] for i in range(3))
+        assert O._form(O._move_reflection(O._move_reflection(t))) == O._form(t)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_form_is_invariant_under_conjugation(data):
+    datum = data.draw(st.sampled_from([
+        B.BranchDatum(1, 6, ((5, 1), (5, 1), (5, 1))),
+        B.BranchDatum(0, 12, ((2,) * 6, (5, 3, 2, 2), (5, 3, 2, 2))),
+    ]))
+    t = data.draw(st.sampled_from(O.enumerate_triples(datum))).as_tuple()
+    g = tuple(data.draw(st.permutations(range(datum.degree))))
+    u = tuple(P.conjugate(s, g) for s in t)
+    assert O._form(u) == O._form(t)
+
+
+@pytest.mark.parametrize("datum", [
+    B.BranchDatum(1, 6, ((5, 1), (5, 1), (5, 1))),
+    B.BranchDatum(0, 12, ((2,) * 6, (5, 3, 2, 2), (5, 3, 2, 2))),
+    fam(2, 3, 5, (10,)),
+])
+def test_representatives_have_distinct_forms(datum):
+    reps = O.enumerate_triples(datum)
+    assert len({O._form(t.as_tuple()) for t in reps}) == len(reps) == O.strong_hurwitz(datum)
 
 
 def test_anchor_override_gives_same_counts():
@@ -128,10 +150,14 @@ def test_anchor_override_gives_same_counts():
 
 def test_threads_do_not_change_counts():
     datum = fam(0, 1, 6, (9, 2, 1))
+    O._REPS_CACHE.clear()
     expected = O.weak_hurwitz(datum, O.FULL_MOVES, threads=1)
+    reps = O.enumerate_triples(datum, threads=1)
     for threads in (2, 8):
         O._REPS_CACHE.clear()
         assert O.weak_hurwitz(datum, O.FULL_MOVES, threads=threads) == expected
+        O._REPS_CACHE.clear()
+        assert O.enumerate_triples(datum, threads=threads) == reps
 
 
 def test_unanchored_profile_matches_anchored():
@@ -267,17 +293,45 @@ def _frobenius_count(partitions):
     return int(out)
 
 
+def _automorphisms(t):
+    """|Aut(t)|: the points x for which 0 -> x, extended along s1 and s2,
+    is a consistent bijection commuting with the triple."""
+    s1, s2 = t[0], t[1]
+    d = len(s1)
+    count = 0
+    for x in range(d):
+        g = {0: x}
+        todo = [0]
+        consistent = True
+        while todo and consistent:
+            a = todo.pop()
+            for s in (s1, s2):
+                if s[a] not in g:
+                    g[s[a]] = s[g[a]]
+                    todo.append(s[a])
+                elif g[s[a]] != s[g[a]]:
+                    consistent = False
+        if consistent and len(g) == d and len(set(g.values())) == d:
+            count += 1
+    return count
+
+
 @pytest.mark.parametrize("k, survivors", [(7, 1470), (8, 3920)])
 def test_orbit_sizes_match_frobenius_count(k, survivors):
     # An independent check above the reach of unanchored_profile.  With a
-    # [d] slot every triple with product 1 is transitive, so there are as
-    # many valid triples as the anchor's class size times those whose
-    # anchor slot holds r, and the centralizer orbits of the
-    # representatives partition the latter.
+    # [d] slot every triple with product 1 is transitive.  A representative
+    # t stands for d!/|Aut(t)| triples, |C(r)|/|Aut(t)| of them with the
+    # anchor slot holding r, since every automorphism of t commutes with r.
     datum = fam(2, 3, k, (2 * k,))
     info = O._anchored_reps(datum, 2, O.DEFAULT_DEGREE_BOUND)
-    total = sum(len(O._orbit(rep, info.zgens)) for rep in info.reps)
+    d = datum.degree
+    centralizer = O._centralizer_order(datum.partitions[info.anchor])
+    auts = [_automorphisms(rep) for rep in info.reps]
+    assert all(centralizer % n == 0 for n in auts)
+    total = sum(centralizer // n for n in auts)
     assert total == survivors
     anchor_class = P.class_size(datum.partitions[info.anchor])
     assert anchor_class == factorial(2 * k - 1)
-    assert total * anchor_class == _frobenius_count(datum.partitions)
+    frobenius = _frobenius_count(datum.partitions)
+    assert total * anchor_class == frobenius
+    assert sum(Fraction(factorial(d), n) for n in auts) == frobenius
