@@ -26,7 +26,6 @@ from .oracle import (
     InfeasibleDegreeError,
     MonodromyTriple,
     WeakConvention,
-    calibrate_convention,
     enumerate_triples,
     strong_hurwitz,
     weak_hurwitz,
@@ -49,7 +48,6 @@ __all__ = [
     "WITH_SLOT_SWAPS",
     "WeakConvention",
     "__version__",
-    "calibrate_convention",
     "coincident_partitions",
     "enumerate_triples",
     "format_partition",

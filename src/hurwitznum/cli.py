@@ -31,7 +31,9 @@ import json
 import os
 import sys
 import time
+import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from . import formulas as F
 from . import oracle as O
@@ -55,19 +57,7 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
 CACHE_ENV = "HURWITZ_CACHE"
-CACHE_VERSION = 2
 
-DEFAULT_CALIBRATION_SUITE: list[tuple[BranchDatum, int]] = [
-    # Coincident-partition datum whose resolved count 3 requires the
-    # reversal move (without it the oracle finds 4 classes).
-    (BranchDatum(0, 12, ((2,) * 6, (5, 3, 2, 2), (5, 3, 2, 2))), 3),
-    # All-slots-equal datum separating the slot-swap axis: counts are
-    # 9/5/4/3 over the four conventions, and the full move group gives 3.
-    (BranchDatum(1, 6, ((5, 1), (5, 1), (5, 1))), 3),
-]
-
-# "full" is the default: calibrate_convention selects it on
-# DEFAULT_CALIBRATION_SUITE, whose entries pin both move axes.
 CONVENTIONS_BY_NAME = {
     "full": O.FULL_MOVES,
     "reflection": O.WITH_REFLECTION,
@@ -140,7 +130,7 @@ def build_parser() -> _Parser:
             "--convention",
             choices=sorted(CONVENTIONS_BY_NAME),
             default="full",
-            help="weak-equivalence move set (full is the calibrated default)",
+            help="weak-equivalence move set (default full)",
         )
         p.add_argument(
             "--max-d",
@@ -353,10 +343,22 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_cache(path: str) -> tuple[dict[tuple[BranchDatum, str], int], int]:
+def _cache_version() -> str:
+    """A short hash of the sources that decide an oracle count
+    (``_purekernels.py`` holds the kernel ``API``), so a cache entry written
+    by other code is skipped rather than trusted."""
+    # CRC-32 rather than hashlib, whose import loads OpenSSL and adds about
+    # 3.5 MB to the peak RSS of every run.
+    crc = 0
+    for name in ("oracle.py", "perm.py", "_purekernels.py"):
+        crc = zlib.crc32(Path(__file__).with_name(name).read_bytes(), crc)
+    return f"{crc:08x}"
+
+
+def _load_cache(path: str, version: str) -> tuple[dict[tuple[BranchDatum, str], int], int]:
     """The cached oracle counts by (datum, convention label), and the number
-    of lines skipped because they are not a current-version entry with a
-    datum, a convention and an integer ``nu``."""
+    of lines skipped because they are not an entry of this ``version`` with
+    a datum, a convention and an integer ``nu``."""
     cache: dict[tuple[BranchDatum, str], int] = {}
     skipped = 0
     if not os.path.exists(path):
@@ -371,7 +373,7 @@ def _load_cache(path: str) -> tuple[dict[tuple[BranchDatum, str], int], int]:
                 # makes the decoder raise RecursionError.
                 entry = json.loads(line.decode("utf-8"))
                 key = (BranchDatum.from_json(entry["datum"]), entry["convention"])
-                if type(entry["nu"]) is int and entry["version"] == CACHE_VERSION:
+                if type(entry["nu"]) is int and entry["version"] == version:
                     cache[key] = entry["nu"]
                     continue
             except (KeyError, TypeError, ValueError, RecursionError):
@@ -394,7 +396,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cache: dict[tuple[BranchDatum, str], int] = {}
     if path is not None:
         try:
-            cache, skipped = _load_cache(path)
+            version = _cache_version()
+            cache, skipped = _load_cache(path, version)
         except OSError as exc:
             print(f"cache read failed: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -435,7 +438,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                             "datum": datum.to_json(),
                             "nu": cache[key],
                             "convention": label,
-                            "version": CACHE_VERSION,
+                            "version": version,
                         }
                         sink.write(json.dumps(entry, sort_keys=True) + "\n")
                         sink.flush()

@@ -6,8 +6,7 @@ types matching the datum's three partitions, and a transitive generated
 group.  Strong equivalence classes of covers are simultaneous-conjugation
 orbits of such triples.  Weak equivalence adds moves induced by
 homeomorphisms of the target sphere: swaps of branching points with equal
-partitions and a reflection; which moves to include is a convention that can
-be calibrated against trusted counts.
+partitions and a reflection; which moves to include is a convention.
 
 The enumeration anchors the slot whose conjugacy class is most expensive to
 scan, streams the cheapest remaining class, forces the third permutation
@@ -28,7 +27,7 @@ the thread count.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,18 +45,6 @@ class IncompatibleDatumError(ValueError):
 
 class InfeasibleDegreeError(RuntimeError):
     """The degree is beyond the configured (or absolute) enumeration bound."""
-
-
-class CalibrationError(RuntimeError):
-    """Convention calibration failed."""
-
-
-class NoFittingConventionError(CalibrationError):
-    """No convention reproduces every expected count in the suite."""
-
-
-class AmbiguousSuiteError(CalibrationError):
-    """More than one convention fits; the suite does not discriminate."""
 
 
 @dataclass(frozen=True)
@@ -124,34 +111,27 @@ def _check_feasible(datum: BranchDatum, degree_bound: int) -> None:
         )
 
 
-def _forced_value(anchor: int, stream: int, r: P.Perm, v: P.Perm) -> P.Perm:
-    """The third permutation forced by the product relation.
+def _forced(t: Sequence[P.Perm], slot: int) -> P.Perm:
+    """The permutation that the product relation forces into ``slot``.
 
-    ``r`` sits in slot ``anchor`` and ``v`` in slot ``stream`` (0-indexed);
-    the returned permutation belongs in the remaining slot.
+    ``s1 s2 s3 = 1`` is invariant under rotating the slots, so each slot is
+    the inverse of the product of the next two; ``t[slot]`` is not read.
     """
-    slots: dict[int, P.Perm] = {anchor: r, stream: v}
-    forced = 3 - anchor - stream
-    if forced == 0:
-        out = P.compose(P.inverse(slots[2]), P.inverse(slots[1]))
-    elif forced == 1:
-        out = P.compose(P.inverse(slots[0]), P.inverse(slots[2]))
-    else:
-        out = P.compose(P.inverse(slots[1]), P.inverse(slots[0]))
-    return out
+    return P.inverse(P.compose(t[(slot + 1) % 3], t[(slot + 2) % 3]))
 
 
-def _centralizer_order(parts: tuple[int, ...]) -> int:
-    mult: dict[int, int] = {}
-    for c in parts:
-        mult[c] = mult.get(c, 0) + 1
-    out = 1
-    for c, m in mult.items():
-        f = 1
-        for i in range(2, m + 1):
-            f *= i
-        out *= c**m * f
-    return out
+# Union-find over indices 0..n-1, with path halving.
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], x: int, y: int) -> None:
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[rx] = ry
 
 
 def _choose_slots(datum: BranchDatum, anchor: int | None = None) -> tuple[int, int, int]:
@@ -159,7 +139,8 @@ def _choose_slots(datum: BranchDatum, anchor: int | None = None) -> tuple[int, i
 
     Unless ``anchor`` is given, the anchor is the slot whose remaining
     cheapest class costs least to stream, with ties broken towards the
-    smallest centralizer and then the slot index; the streamed slot is the
+    largest class (the smallest centralizer, since their orders multiply to
+    d!) and then the slot index; the streamed slot is the
     cheapest remaining class.  The counts do not depend on the anchor, but
     the tie-break fixes it, and with it ``rot`` and the kernel's work, for
     data whose slots tie on streaming cost.
@@ -168,7 +149,7 @@ def _choose_slots(datum: BranchDatum, anchor: int | None = None) -> tuple[int, i
 
     def anchor_key(a: int) -> tuple[int, int, int]:
         stream_cost = min(sizes[s] for s in range(3) if s != a)
-        return (stream_cost, _centralizer_order(datum.partitions[a]), a)
+        return (stream_cost, -sizes[a], a)
 
     if anchor is None:
         anchor = min(range(3), key=anchor_key)
@@ -227,9 +208,11 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
 
     survivors: set[Triple] = set()
 
-    def to_triple(v: P.Perm, w: P.Perm) -> Triple:
-        slots: dict[int, P.Perm] = {anchor: r, stream: v, forced: w}
-        return (slots[0], slots[1], slots[2])
+    def completed(v: P.Perm) -> Triple:
+        t = [r, r, r]
+        t[stream] = v
+        t[forced] = _forced(t, forced)
+        return (t[0], t[1], t[2])
 
     if d % 2 == 0 and tau_s == (2,) * (d // 2) and d >= 2:
         # Fast path: stream the fixed-point-free involutions through the
@@ -251,16 +234,15 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
             results = [run_block(first) for first in blocks]
         for block in results:
             for v in block:
-                survivors.add(to_triple(v, _forced_value(anchor, stream, r, v)))
+                survivors.add(completed(v))
     else:
         id_d = P.identity(d)
         for v in P.class_stream(tau_s):
-            w = _forced_value(anchor, stream, r, v)
-            if P.cycle_type(w) != tau_f:
+            triple = completed(v)
+            if P.cycle_type(triple[forced]) != tau_f:
                 continue
             if not P.is_transitive([r, v], d):
                 continue
-            triple = to_triple(v, w)
             if __debug__:
                 t1, t2, t3 = triple
                 assert P.compose(t1, P.compose(t2, t3)) == id_d
@@ -355,18 +337,6 @@ def _weak_orbit_count(datum: BranchDatum, info: _AnchoredReps, convention: WeakC
     reps = info.reps
     index = {f: i for i, f in enumerate(info.forms)}
     parent = list(range(len(reps)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
     moves = _weak_moves(datum.partitions, convention)
     id_d = P.identity(datum.degree)
     for i, t in enumerate(reps):
@@ -375,9 +345,9 @@ def _weak_orbit_count(datum: BranchDatum, info: _AnchoredReps, convention: WeakC
             if __debug__:
                 assert P.compose(u[0], P.compose(u[1], u[2])) == id_d
                 assert tuple(P.cycle_type(s) for s in u) == datum.partitions
-            union(i, index[_form(u)])
+            _union(parent, i, index[_form(u)])
 
-    return sum(1 for i in range(len(reps)) if find(i) == i)
+    return sum(1 for i in range(len(reps)) if _find(parent, i) == i)
 
 
 def weak_hurwitz(
@@ -394,40 +364,15 @@ def weak_hurwitz(
     return _weak_orbit_count(datum, info, convention)
 
 
-def calibrate_convention(
-    suite: list[tuple[BranchDatum, int]],
-    threads: int = 1,
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
-) -> WeakConvention:
-    """The unique convention whose weak counts match every suite entry.
-
-    Raises NoFittingConventionError when no convention matches (a wrong
-    expected value or an implementation bug) and AmbiguousSuiteError when
-    the suite does not single out one convention.
-    """
-    fits = list(ALL_CONVENTIONS)
-    for datum, expected in suite:
-        info = _anchored_reps(datum, threads, degree_bound)
-        fits = [c for c in fits if _weak_orbit_count(datum, info, c) == expected]
-        if not fits:
-            raise NoFittingConventionError(
-                f"no convention reproduces expected count {expected} for {datum}"
-            )
-    if len(fits) > 1:
-        raise AmbiguousSuiteError(
-            "suite fits several conventions: " + ", ".join(c.label() for c in fits)
-        )
-    return fits[0]
-
-
 def unanchored_profile(
     datum: BranchDatum,
 ) -> tuple[int, dict[str, int]]:
     """(strong, weak-by-convention-label) by exhaustive enumeration.
 
     Every valid triple is materialized with no anchoring; strong orbits
-    are computed by closing under conjugation by adjacent transpositions,
-    weak orbits by additionally closing under each convention's moves.
+    are computed by closing under conjugation by ``(0 1)`` and
+    ``(0 1 ... d-1)``, which generate S_d, and weak orbits by additionally
+    closing under each convention's moves.
     The enumeration is shared across all conventions.  Only sensible for
     very small degrees; used to certify the anchored algorithm.
     """
@@ -441,11 +386,9 @@ def unanchored_profile(
     a, b = order[0], order[1]
     c = 3 - a - b
     tau_c = datum.partitions[c]
-    # The forced slot is the inverse of the product of the other two; with
-    # compose(p, q) applying q first, the factors are the inverses of the
-    # two known slots in the order fixed by which slot is forced.
-    first_slot, second_slot = {0: (2, 1), 1: (0, 2), 2: (1, 0)}[c]
-    a_first = first_slot == a
+    # vc is _forced(t, c), the inverse of compose(t[c+1], t[c+2]); written
+    # as compose(inverse(t[c+2]), inverse(t[c+1])), it reuses the inverses.
+    a_first = a == (c + 2) % 3
     # A slot whose partition has a single part holds a d-cycle, which makes
     # the generated group transitive on its own.
     auto_transitive = any(len(pi) == 1 for pi in datum.partitions)
@@ -459,12 +402,13 @@ def unanchored_profile(
             )
             if P.cycle_type(vc) != tau_c:
                 continue
-            if __debug__ and len(triples) < 8:
-                assert vc == _forced_value(a, b, va, vb)
             if not auto_transitive and not P.is_transitive([va, vb], d):
                 continue
             slots = {a: va, b: vb, c: vc}
-            triples.append((slots[0], slots[1], slots[2]))
+            triple = (slots[0], slots[1], slots[2])
+            if __debug__ and len(triples) < 8:
+                assert vc == _forced(triple, c)
+            triples.append(triple)
 
     # Intern the slot values and key triples by id triples; the closure
     # then works on small integers instead of nested tuples.
@@ -477,24 +421,13 @@ def unanchored_profile(
     keys = [(pid[t[0]], pid[t[1]], pid[t[2]]) for t in triples]
     key_of = {key: i for i, key in enumerate(keys)}
 
-    def find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(parent: list[int], x: int, y: int) -> None:
-        rx, ry = find(parent, x), find(parent, y)
-        if rx != ry:
-            parent[rx] = ry
-
     base = list(range(len(triples)))
-    for x in range(d - 1):
-        g = P.from_cycles(d, [(x, x + 1)])
+    gens = [P.from_cycles(d, [(0, 1)]), P.from_cycles(d, [tuple(range(d))])] if d > 1 else []
+    for g in gens:
         cmap = [pid[P.conjugate(p, g)] for p in perms]
         for i, (k0, k1, k2) in enumerate(keys):
-            union(base, i, key_of[(cmap[k0], cmap[k1], cmap[k2])])
-    strong_roots = [i for i in range(len(triples)) if find(base, i) == i]
+            _union(base, i, key_of[(cmap[k0], cmap[k1], cmap[k2])])
+    strong_roots = [i for i in range(len(triples)) if _find(base, i) == i]
     strong = len(strong_roots)
 
     # The moves are conjugation-equivariant, so they send whole conjugation
@@ -507,8 +440,8 @@ def unanchored_profile(
         for i in strong_roots:
             for move in moves:
                 u = move(triples[i])
-                union(parent, i, key_of[(pid[u[0]], pid[u[1]], pid[u[2]])])
+                _union(parent, i, key_of[(pid[u[0]], pid[u[1]], pid[u[2]])])
         weak[convention.label()] = sum(
-            1 for i in strong_roots if find(parent, i) == i
+            1 for i in strong_roots if _find(parent, i) == i
         )
     return strong, weak

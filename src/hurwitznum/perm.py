@@ -5,9 +5,6 @@ A permutation of degree ``d`` is a tuple ``p`` of length ``d`` whose entry
 is a bijection on ``{0, ..., d-1}``.  Dense image tuples keep the inner loops
 of the enumeration code cache friendly and make permutations hashable values
 that are safe to share between threads.
-
-Text output uses 1-indexed cycle notation with fixed points omitted, so
-printed permutations can be checked by hand.
 """
 
 from __future__ import annotations
@@ -27,11 +24,6 @@ def identity(d: int) -> Perm:
     (0, 1, 2)
     """
     return tuple(range(d))
-
-
-def is_perm(p: Sequence[int]) -> bool:
-    """True iff ``p`` is a bijection on ``{0, ..., len(p)-1}``."""
-    return sorted(p) == list(range(len(p)))
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -65,31 +57,6 @@ def conjugate(p: Perm, t: Perm) -> Perm:
     for x, y in enumerate(p):
         out[t[x]] = t[y]
     return tuple(out)
-
-
-def cycles(p: Perm) -> list[tuple[int, ...]]:
-    """Cycle decomposition, fixed points included.
-
-    Each cycle starts at its smallest point; cycles are listed by smallest
-    point, so the decomposition is a canonical form.
-
-    >>> cycles((1, 0, 2))
-    [(0, 1), (2,)]
-    """
-    seen = [False] * len(p)
-    out = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = p[start]
-        while x != start:
-            seen[x] = True
-            cyc.append(x)
-            x = p[x]
-        out.append(tuple(cyc))
-    return out
 
 
 def cycle_type(p: Perm) -> CycleType:
@@ -130,18 +97,6 @@ def from_cycles(d: int, cycs: Iterable[Sequence[int]]) -> Perm:
             used.add(x)
             images[x] = cyc[(i + 1) % len(cyc)]
     return tuple(images)
-
-
-def format_perm(p: Perm) -> str:
-    """1-indexed cycle notation, fixed points omitted.
-
-    >>> format_perm((1, 0, 2, 4, 3))
-    '(1,2)(4,5)'
-    >>> format_perm((0, 1))
-    '()'
-    """
-    parts = ["(" + ",".join(str(x + 1) for x in cyc) + ")" for cyc in cycles(p) if len(cyc) > 1]
-    return "".join(parts) or "()"
 
 
 def _check_partition(parts: Sequence[int]) -> None:
@@ -218,36 +173,11 @@ def class_stream(parts: Sequence[int]) -> Iterator[Perm]:
     yield from rec(tuple(range(d)), tuple(parts))
 
 
-def involution_stream(d: int) -> Iterator[Perm]:
-    """All fixed-point-free involutions of even degree ``d``.
-
-    These are the perfect matchings of ``d`` points; there are ``(d-1)!!`` of
-    them.  The order is deterministic: the smallest free point is paired with
-    each larger free point in increasing order.
-    """
-    if d <= 0 or d % 2:
-        raise ValueError(f"degree must be even and positive, got {d}")
-    images = [0] * d
-
-    def rec(free: tuple[int, ...]) -> Iterator[Perm]:
-        if not free:
-            yield tuple(images)
-            return
-        a = free[0]
-        for i in range(1, len(free)):
-            b = free[i]
-            images[a] = b
-            images[b] = a
-            yield from rec(free[1:i] + free[i + 1 :])
-
-    yield from rec(tuple(range(d)))
-
-
 def class_representative(parts: Sequence[int]) -> Perm:
     """The permutation whose cycles fill ``0..d-1`` in order of the parts.
 
-    >>> format_perm(class_representative((3, 2)))
-    '(1,2,3)(4,5)'
+    >>> class_representative((3, 2))
+    (1, 2, 0, 4, 3)
     """
     _check_partition(parts)
     out = []

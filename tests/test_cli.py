@@ -160,6 +160,21 @@ def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--genus", "1", "--h", "1", "--k", "1000000000000000000000"),
+        ("check", "--genus", "0", "--h", "1", "--k", "8", "--pi", "1^100000000000000000000"),
+    ],
+    ids=["huge-k", "huge-pi-exponent"],
+)
+def test_huge_integers_are_rejected_before_allocating(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_one(capsys, threads):
     code, out, err = run(capsys, "count", "--genus", "0", "--h", "1", "--k", "4",
@@ -205,7 +220,7 @@ def test_sweep_clean_and_idempotent(capsys, tmp_path):
     assert code1 == 0
     assert "total: 28 data, 0 discrepancies" in out1
     lines = cache.read_text().splitlines()
-    assert all(json.loads(line)["version"] == cli.CACHE_VERSION for line in lines)
+    assert all(json.loads(line)["version"] == cli._cache_version() for line in lines)
 
     code2, out2, err2 = run(capsys, "sweep", "--max-d", "8",
                             "--cache", str(cache))
@@ -304,6 +319,19 @@ def test_cache_cannot_mask_a_formula_change(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert "DISCREPANT" in out
     assert "0 computed" in err
+
+
+def test_cache_written_by_other_code_is_recomputed(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    _, expected, _ = run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))
+    n = len(cache.read_text().splitlines())
+    # As if oracle.py, perm.py or _purekernels.py had changed.
+    monkeypatch.setattr(cli, "_cache_version", lambda: "other-code")
+    code, out, err = run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))
+    assert code == 0
+    assert out == expected
+    assert f"skipped {n} unusable lines" in err
+    assert f"({n} computed, 0 cached)" in err
 
 
 def test_sweep_env_var_cache(capsys, tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Brute-force oracle: anchoring, move closure, conventions, calibration.
+"""Brute-force oracle: anchoring, move closure, conventions.
 
 Value provenance: the small counts asserted directly were verified by hand
 (degree 2 and 4) or cross-checked by the exhaustive unanchored enumeration
@@ -185,37 +185,19 @@ def test_unanchored_rejects_large_degree():
         O.unanchored_profile(fam(0, 1, 5, (8, 1, 1)))
 
 
-def test_calibration_unique_fit():
-    from hurwitznum.cli import DEFAULT_CALIBRATION_SUITE
-
-    assert O.calibrate_convention(DEFAULT_CALIBRATION_SUITE) == O.FULL_MOVES
-
-
-def test_calibration_no_fit():
-    suite = [(B.BranchDatum(1, 6, ((5, 1), (5, 1), (5, 1))), 7)]
-    with pytest.raises(O.NoFittingConventionError):
-        O.calibrate_convention(suite)
-
-
-def test_calibration_ambiguous():
-    # a datum every convention counts the same way cannot decide anything
-    suite = [(B.BranchDatum(0, 4, ((2, 2), (3, 1), (3, 1))), 1)]
-    with pytest.raises(O.AmbiguousSuiteError):
-        O.calibrate_convention(suite)
-
-
-def test_calibration_needs_convention_sensitive_data():
-    # five data on which all conventions agree cannot pin the move set,
-    # however many of them the suite contains
+def test_full_moves_is_the_only_fitting_convention():
+    # The default convention is the one move set that reproduces both
+    # counts: the reflection merges two of the coincident datum's four
+    # classes, and the all-equal datum's ladder 9/5/4/3 needs the swaps too.
     suite = [
-        (fam(1, 1, 3, (6,)), 1),
-        (fam(1, 1, 4, (8,)), 1),
-        (fam(0, 1, 8, (14, 1, 1)), 1),
-        (fam(0, 1, 8, (7, 5, 4)), 1),
-        (fam(0, 1, 8, (8, 4, 4)), 0),
+        (B.BranchDatum(0, 12, ((2,) * 6, (5, 3, 2, 2), (5, 3, 2, 2))), 3),
+        (B.BranchDatum(1, 6, ((5, 1), (5, 1), (5, 1))), 3),
     ]
-    with pytest.raises(O.AmbiguousSuiteError):
-        O.calibrate_convention(suite)
+    fits = [
+        c for c in O.ALL_CONVENTIONS
+        if all(O.weak_hurwitz(datum, c) == count for datum, count in suite)
+    ]
+    assert fits == [O.FULL_MOVES]
 
 
 def test_weak_never_exceeds_strong():
@@ -325,7 +307,7 @@ def test_orbit_sizes_match_frobenius_count(k, survivors):
     datum = fam(2, 3, k, (2 * k,))
     info = O._anchored_reps(datum, 2, O.DEFAULT_DEGREE_BOUND)
     d = datum.degree
-    centralizer = O._centralizer_order(datum.partitions[info.anchor])
+    centralizer = factorial(d) // P.class_size(datum.partitions[info.anchor])
     auts = [_automorphisms(rep) for rep in info.reps]
     assert all(centralizer % n == 0 for n in auts)
     total = sum(centralizer // n for n in auts)
