@@ -358,7 +358,7 @@ def _cache_version() -> str:
 def _load_cache(path: str, version: str) -> tuple[dict[tuple[BranchDatum, str], int], int]:
     """The cached oracle counts by (datum, convention label), and the number
     of lines skipped because they are not an entry of this ``version`` with
-    a datum, a convention and an integer ``nu``."""
+    a datum, a convention and a non-negative integer ``nu``."""
     cache: dict[tuple[BranchDatum, str], int] = {}
     skipped = 0
     if not os.path.exists(path):
@@ -373,8 +373,9 @@ def _load_cache(path: str, version: str) -> tuple[dict[tuple[BranchDatum, str], 
                 # makes the decoder raise RecursionError.
                 entry = json.loads(line.decode("utf-8"))
                 key = (BranchDatum.from_json(entry["datum"]), entry["convention"])
-                if type(entry["nu"]) is int and entry["version"] == version:
-                    cache[key] = entry["nu"]
+                nu = entry["nu"]
+                if type(nu) is int and nu >= 0 and entry["version"] == version:
+                    cache[key] = nu
                     continue
             except (KeyError, TypeError, ValueError, RecursionError):
                 pass

@@ -30,6 +30,8 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 from . import kernels
 from . import perm as P
@@ -369,12 +371,22 @@ def unanchored_profile(
 ) -> tuple[int, dict[str, int]]:
     """(strong, weak-by-convention-label) by exhaustive enumeration.
 
-    Every valid triple is materialized with no anchoring; strong orbits
-    are computed by closing under conjugation by ``(0 1)`` and
-    ``(0 1 ... d-1)``, which generate S_d, and weak orbits by additionally
-    closing under each convention's moves.
-    The enumeration is shared across all conventions.  Only sensible for
-    very small degrees; used to certify the anchored algorithm.
+    Every triple with product one is enumerated, with no anchor, no kernel
+    and no canonical form.  Each slot's class is listed once and indexed by
+    a dict from permutation to index.  The pair loop runs over the two
+    smallest classes; the product relation forces the third slot, and the
+    pair is kept when the forced permutation is in that slot's index, so
+    its cycle type is right.  A triple is keyed by the indices of its two
+    looped slots, which determine the third.
+
+    Strong orbits are closed under conjugation by ``(0 1)`` and
+    ``(0 1 ... d-1)``, which generate S_d and act on each slot as an index
+    map; weak orbits are further closed under each convention's moves,
+    whose images are keyed through the same dicts.  Conjugation and the
+    moves preserve transitivity, so it is checked once per strong orbit and
+    only transitive orbits are counted.  The enumeration is shared across
+    all conventions.  Only sensible for very small degrees; used to certify
+    the anchored algorithm.
     """
     if not rh_compatible(datum):
         raise IncompatibleDatumError(f"datum {datum} fails the compatibility relation")
@@ -382,66 +394,78 @@ def unanchored_profile(
     if d > 8:
         raise InfeasibleDegreeError(f"unanchored enumeration is for tiny degrees, got d={d}")
     sizes = [P.class_size(pi) for pi in datum.partitions]
-    order = sorted(range(3), key=lambda s: (sizes[s], s))
-    a, b = order[0], order[1]
-    c = 3 - a - b
-    tau_c = datum.partitions[c]
-    # vc is _forced(t, c), the inverse of compose(t[c+1], t[c+2]); written
-    # as compose(inverse(t[c+2]), inverse(t[c+1])), it reuses the inverses.
-    a_first = a == (c + 2) % 3
-    # A slot whose partition has a single part holds a d-cycle, which makes
-    # the generated group transitive on its own.
-    auto_transitive = any(len(pi) == 1 for pi in datum.partitions)
-    stream_b = [(vb, P.inverse(vb)) for vb in P.class_stream(datum.partitions[b])]
-    triples: list[Triple] = []
-    for va in P.class_stream(datum.partitions[a]):
-        inva = P.inverse(va)
-        for vb, invb in stream_b:
-            vc = (
-                P.compose(inva, invb) if a_first else P.compose(invb, inva)
-            )
-            if P.cycle_type(vc) != tau_c:
-                continue
-            if not auto_transitive and not P.is_transitive([va, vb], d):
-                continue
-            slots = {a: va, b: vb, c: vc}
-            triple = (slots[0], slots[1], slots[2])
-            if __debug__ and len(triples) < 8:
-                assert vc == _forced(triple, c)
-            triples.append(triple)
+    c = max(range(3), key=lambda s: (sizes[s], s))
+    x, y = (c + 1) % 3, (c + 2) % 3
+    classes = [list(P.class_stream(pi)) for pi in datum.partitions]
+    index = [{p: i for i, p in enumerate(ps)} for ps in classes]
+    ny = len(classes[y])
 
-    # Intern the slot values and key triples by id triples; the closure
-    # then works on small integers instead of nested tuples.
-    pid: dict[P.Perm, int] = {}
-    for t in triples:
-        for p in t:
-            if p not in pid:
-                pid[p] = len(pid)
-    perms = list(pid)
-    keys = [(pid[t[0]], pid[t[1]], pid[t[2]]) for t in triples]
-    key_of = {key: i for i, key in enumerate(keys)}
+    # The forced slot is _forced(t, c) = compose(inverse(t[y]), inverse(t[x])),
+    # and itemgetter(*q)(p) is compose(p, q).  With one index itemgetter
+    # returns a bare point; at d = 1 every permutation is (0,), and so is p.
+    def composed_with(q: P.Perm) -> Callable[[P.Perm], P.Perm]:
+        return itemgetter(*q) if d > 1 else tuple
 
-    base = list(range(len(triples)))
+    inv_x = [P.inverse(p) for p in classes[x]]
+    inv_y = [P.inverse(p) for p in classes[y]]
+    in_c = index[c].__contains__
+    keys: list[int] = []
+    for kx, wx in enumerate(inv_x):
+        hits = map(in_c, map(composed_with(wx), inv_y))
+        keys.extend(compress(range(kx * ny, kx * ny + ny), hits))
+
+    def triple(key: int) -> Triple:
+        kx, ky = divmod(key, ny)
+        t = [classes[x][kx]] * 3
+        t[y] = classes[y][ky]
+        t[c] = _forced(t, c)
+        return (t[0], t[1], t[2])
+
+    if __debug__:
+        for key in keys[:8]:
+            kx, ky = divmod(key, ny)
+            assert composed_with(inv_x[kx])(inv_y[ky]) == triple(key)[c]
+
     gens = [P.from_cycles(d, [(0, 1)]), P.from_cycles(d, [tuple(range(d))])] if d > 1 else []
-    for g in gens:
-        cmap = [pid[P.conjugate(p, g)] for p in perms]
-        for i, (k0, k1, k2) in enumerate(keys):
-            _union(base, i, key_of[(cmap[k0], cmap[k1], cmap[k2])])
-    strong_roots = [i for i in range(len(triples)) if _find(base, i) == i]
-    strong = len(strong_roots)
+    maps = [
+        ([index[x][P.conjugate(p, g)] for p in classes[x]],
+         [index[y][P.conjugate(p, g)] for p in classes[y]])
+        for g in gens
+    ]
+    # orbit[key] is the first key of its conjugation orbit; roots numbers the
+    # first keys of the transitive orbits, whose triples are reps.
+    orbit: dict[int, int] = {}
+    roots: dict[int, int] = {}
+    reps: list[Triple] = []
+    for key in keys:
+        if key in orbit:
+            continue
+        orbit[key] = key
+        todo = [key]
+        for k in todo:  # todo grows as the walk reaches new triples
+            kx, ky = divmod(k, ny)
+            for mx, my in maps:
+                image = mx[kx] * ny + my[ky]
+                if image not in orbit:
+                    orbit[image] = key
+                    todo.append(image)
+        t = triple(key)
+        if P.is_transitive([t[x], t[y]], d):
+            roots[key] = len(reps)
+            reps.append(t)
+    strong = len(reps)
 
     # The moves are conjugation-equivariant, so they send whole conjugation
-    # orbits to conjugation orbits; one edge per orbit representative gives
-    # the full weak closure.
+    # orbits to conjugation orbits; one edge per orbit root gives the full
+    # weak closure.  They preserve transitivity, so every image lands in a
+    # transitive orbit.
     weak: dict[str, int] = {}
     for convention in ALL_CONVENTIONS:
         moves = _weak_moves(datum.partitions, convention)
-        parent = list(base)
-        for i in strong_roots:
+        parent = list(range(strong))
+        for i, t in enumerate(reps):
             for move in moves:
-                u = move(triples[i])
-                _union(parent, i, key_of[(pid[u[0]], pid[u[1]], pid[u[2]])])
-        weak[convention.label()] = sum(
-            1 for i in strong_roots if _find(parent, i) == i
-        )
+                u = move(t)
+                _union(parent, i, roots[orbit[index[x][u[x]] * ny + index[y][u[y]]]])
+        weak[convention.label()] = sum(1 for i in range(strong) if _find(parent, i) == i)
     return strong, weak

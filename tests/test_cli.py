@@ -264,6 +264,19 @@ def test_sweep_ignores_corrupt_cache_lines(capsys, tmp_path):
             },
             sort_keys=True,
         ).encode(),
+        pytest.param(
+            json.dumps(
+                {
+                    "convention": "conjugation+swaps+reflection",
+                    "datum": {"d": 4, "g": 0, "partitions": [[2, 2], [3, 1], [3, 1]]},
+                    "method": "oracle",
+                    "nu": -5,
+                    "version": cli._cache_version(),
+                },
+                sort_keys=True,
+            ).encode(),
+            id="negative-nu",
+        ),
         pytest.param(b"[" * 100_000, id="deeply-nested"),
         pytest.param(b"\xff\xfe", id="not-utf-8"),
     ],

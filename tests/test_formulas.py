@@ -152,6 +152,11 @@ def test_genus1_h1_values():
 def test_triples_of_matches_partition_count():
     for k in range(3, 40):
         assert F.triples_of(k) == len(B.partitions_of(k, 3))
+    # the closed form against the direct double sum over a <= b <= c
+    for k in range(-3, 400):
+        assert F.triples_of(k) == sum(
+            1 for a in range(1, k // 3 + 1) for b in range(a, (k - a) // 2 + 1)
+        ), k
 
 
 def test_genus1_h1_rejects_bad_pi():

@@ -6,6 +6,7 @@ in this file; the convention ladders were frozen from those runs.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -178,6 +179,68 @@ def test_unanchored_profile_matches_anchored():
             )
     strong, weak = O.unanchored_profile(B.BranchDatum(2, 5, ((5,), (5,), (5,))))
     assert (strong, weak[O.WITH_SLOT_SWAPS.label()]) == (4, 2)
+
+
+def test_unanchored_profile_skips_intransitive_triples():
+    # 8 of the 32 triples with product one fix a point and move the other
+    # three as a 3-cycle; all four conventions leave one class.
+    datum = B.BranchDatum(0, 4, ((3, 1), (3, 1), (3, 1)))
+    strong, weak = O.unanchored_profile(datum)
+    assert strong == 1
+    assert weak == {c.label(): 1 for c in O.ALL_CONVENTIONS}
+
+
+def _brute_force_profile(datum):
+    """(strong, weak by label) from every pair of S_d, every conjugator of
+    S_d and the moves of ``O._weak_moves``."""
+    d = datum.degree
+    group = list(permutations(range(d)))
+    triples = []
+    for s1 in group:
+        for s2 in group:
+            s3 = tuple(sorted(range(d), key=lambda x: s1[s2[x]]))  # (s1 s2)^-1
+            t = (s1, s2, s3)
+            assert all(s1[s2[s3[x]]] == x for x in range(d))
+            if tuple(P.cycle_type(s) for s in t) != datum.partitions:
+                continue
+            if P.is_transitive(t, d):
+                triples.append(t)
+
+    def orbit_min(t):
+        return min(tuple(P.conjugate(s, g) for s in t) for g in group)
+
+    reps = {orbit_min(t) for t in triples}
+    weak = {}
+    for convention in O.ALL_CONVENTIONS:
+        moves = O._weak_moves(datum.partitions, convention)
+        parent = {t: t for t in reps}
+
+        def find(t):
+            while parent[t] != t:
+                t = parent[t]
+            return t
+
+        for t in reps:
+            for move in moves:
+                parent[find(t)] = find(orbit_min(move(t)))
+        weak[convention.label()] = sum(1 for t in reps if find(t) == t)
+    return len(reps), weak
+
+
+def _small_data():
+    out = [B.BranchDatum(0, 1, ((1,), (1,), (1,)))]
+    for d in range(2, 5):
+        for combo in combinations_with_replacement(B.partitions_of(d), 3):
+            chi = sum(len(p) for p in combo) - d
+            if chi % 2 == 0 and chi <= 2:
+                for pis in sorted(set(permutations(combo))):
+                    out.append(B.BranchDatum((2 - chi) // 2, d, pis))
+    return out
+
+
+@pytest.mark.parametrize("datum", _small_data(), ids=str)
+def test_unanchored_profile_matches_brute_force(datum):
+    assert O.unanchored_profile(datum) == _brute_force_profile(datum)
 
 
 def test_unanchored_rejects_large_degree():
