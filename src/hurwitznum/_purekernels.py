@@ -20,6 +20,16 @@ rotating ``v`` rotates these labels, so keeping only ``v`` with
 ``label(0) <= label(x)`` for every ``x < rot`` keeps at least one member of
 every rotation orbit.  The walk places the pairs at ``0..rot-1`` first, so a
 violated label cuts its whole subtree.  ``rot = 1`` keeps everything.
+
+The walk also follows the composite ``t[x] = phi[v[x]]`` as it grows:
+placing the pair ``(a, b)`` adds the edges ``a -> phi[b]`` and
+``b -> phi[a]``, and the edges placed so far form closed cycles and open
+paths.  A subtree is cut when an edge closes a cycle whose length is no
+longer left among the target's parts (otherwise that part is taken off), or
+when an open path has more points than the largest part, since every
+completion then has the wrong cycle type.  Backtracking undoes the edges.
+Only non-survivors are cut, so the survivors and their order are those of
+the full walk; the leaf still checks cycle type and transitivity in full.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from collections.abc import Sequence
 
 # Bumped whenever the signature or the semantics of the scan change; a
 # compiled twin whose `API` differs is stale and is not used.
-API = 3
+API = 4
 
 
 def backend() -> str:
@@ -57,7 +67,8 @@ def scan_involutions_block(
 
     Splitting the stream by the partner of point 0 gives ``d - 1`` disjoint
     blocks; scanning each block for every ``first`` recovers the whole
-    involution stream.
+    involution stream.  ``phi`` must be a permutation of ``0..d-1`` and
+    ``target`` at most ``d`` parts in ``1..d``.
     """
     if d <= 0 or d % 2:
         raise ValueError(f"degree must be even and positive, got {d}")
@@ -65,13 +76,17 @@ def scan_involutions_block(
         raise ValueError(f"first partner {first} out of range")
     if not 1 <= rot <= d:
         raise ValueError(f"rotated cycle length {rot} out of range")
+    if sorted(phi) != list(range(d)):
+        raise ValueError(f"phi is not a permutation of 0..{d - 1}")
+    target = tuple(target)
+    ntgt = len(target)
+    if ntgt > d or not all(1 <= n <= d for n in target):
+        raise ValueError(f"target {target} is not a list of at most {d} parts in 1..{d}")
     lab0 = first if first < rot else rot + first
     if first < rot and rot - first < lab0:
         return []
-    target = tuple(target)
-    ntgt = len(target)
     # The cycles of phi as a forest: every point of the cycle first reached
-    # from x points to x.  The walk stops even when phi is not a bijection.
+    # from x points to x.
     forest = [-1] * d
     for x in range(d):
         y = x
@@ -80,13 +95,53 @@ def scan_involutions_block(
             y = phi[y]
     nroots = sum(1 for x in range(d) if forest[x] == x)
     v = [-1] * d
-    v[0] = first
-    v[first] = 0
-    free0 = [x for x in range(1, d) if x != first]
     survivors: list[tuple[int, ...]] = []
     t = [0] * d
     seen = [0] * d
     stamp = 0
+
+    # The edges of t placed so far form cycles and open paths; a point not
+    # yet reached is a path of one point.  A path runs from start[e] to e
+    # and from s to end[s], and has size[s] points.  left[n] is the number
+    # of parts n of the target not yet matched by a closed cycle.
+    start = list(range(d))
+    end = list(range(d))
+    size = [1] * d
+    left = [0] * (d + 1)
+    for n in target:
+        left[n] += 1
+    largest = max(target, default=0)
+
+    def link(x: int, y: int) -> bool:
+        """Places the edge x -> y of t, or returns False, changing nothing,
+        when no completion can have the target cycle type."""
+        s = start[x]
+        if s == y:  # the edge closes a cycle of size[y] points
+            n = size[y]
+            if not left[n]:
+                return False
+            left[n] -= 1
+            return True
+        n = size[s] + size[y]
+        if n > largest:
+            return False
+        e = end[y]
+        end[s] = e
+        start[e] = s
+        size[s] = n
+        return True
+
+    def unlink(x: int, y: int) -> None:
+        """Undoes the latest link(x, y) that returned True.  The points
+        it made interior are never an end or a start of a later link, so
+        start[x], end[y] and size[y] still hold their values."""
+        s = start[x]
+        if s == y:
+            left[size[y]] += 1
+        else:
+            end[s] = x
+            start[end[y]] = y
+            size[s] -= size[y]
 
     def check() -> bool:
         nonlocal stamp
@@ -130,6 +185,7 @@ def scan_involutions_block(
                 survivors.append(tuple(v))
             return
         a = free[0]
+        pa = phi[a]
         for i in range(1, len(free)):
             b = free[i]
             if a < rot:
@@ -138,10 +194,19 @@ def scan_involutions_block(
                         continue
                 elif rot + b < lab0:
                     continue
-            v[a] = b
-            v[b] = a
-            rec(free[1:i] + free[i + 1 :])
+            pb = phi[b]
+            if not link(a, pb):
+                continue
+            if link(b, pa):
+                v[a] = b
+                v[b] = a
+                rec(free[1:i] + free[i + 1 :])
+                unlink(b, pa)
+            unlink(a, pb)
         v[a] = -1
 
-    rec(free0)
+    if link(0, phi[first]) and link(first, phi[0]):
+        v[0] = first
+        v[first] = 0
+        rec([x for x in range(1, d) if x != first])
     return survivors

@@ -12,10 +12,16 @@
    and v is kept when no label is below label(0).  Rotating that cycle fixes
    the anchor and rotates the labels, so every rotation orbit of survivors
    keeps a member; rot = 1 keeps all.  The pairs at 0..rot-1 are placed
-   first, so a violated label cuts its whole subtree.  The walk runs with
-   the interpreter lock released, so blocks scanned on several threads run
-   in parallel.  Build it next to the Python sources with
-   `python3 setup.py build_ext --inplace`.
+   first, so a violated label cuts its whole subtree.  The walk also tracks
+   the cycles and open paths of the partial t: placing the pair (a, b) adds
+   the edges a -> phi[b] and b -> phi[a], and the subtree is cut when an
+   edge closes a cycle whose length is no longer left among the target's
+   parts, or makes an open path longer than the largest part.  Backtracking
+   undoes the edges.  Only non-survivors are cut, so the survivors and their
+   order match the full walk; survives() still checks each leaf in full.
+   phi must be a permutation.  The walk runs with the interpreter lock
+   released, so blocks scanned on several threads run in parallel.  Build it
+   next to the Python sources with `python3 setup.py build_ext --inplace`.
 
    API must equal `_purekernels.API`; `kernels` ignores a build whose API
    differs, so bump both whenever the signature or the semantics change.
@@ -25,11 +31,16 @@
 #include <Python.h> /* also includes stdlib.h and string.h */
 
 #define MAXD 32
-#define API 3
+#define API 4
 
 typedef struct {
-    int d, nroots, ntarget, rot, label0;
+    int d, nroots, ntarget, rot, label0, largest;
     int phi[MAXD], target[MAXD], parent[MAXD]; /* parent: cycles of phi */
+    /* The edges of t placed so far form cycles and open paths; a point not
+       yet reached is a path of one point.  A path runs from start[e] to e
+       and from a to end[a], and has size[a] points.  left[n] counts the
+       parts n of the target not yet matched by a closed cycle. */
+    int start[MAXD], end[MAXD], size[MAXD], left[MAXD + 1];
     int *out; /* survivors, d entries each */
     Py_ssize_t count, cap;
 } Scan;
@@ -101,9 +112,48 @@ static int keep(Scan *s, const int *v)
     return 1;
 }
 
+/* Places the edge x -> y of t, or returns 0, changing nothing, when no
+   completion can have the target cycle type: the edge closes a cycle whose
+   length is not left, or makes an open path longer than the largest part. */
+static int add_edge(Scan *s, int x, int y)
+{
+    int a = s->start[x], n;
+    if (a == y) {
+        n = s->size[y];
+        if (!s->left[n])
+            return 0;
+        s->left[n]--;
+        return 1;
+    }
+    n = s->size[a] + s->size[y];
+    if (n > s->largest)
+        return 0;
+    int e = s->end[y];
+    s->end[a] = e;
+    s->start[e] = a;
+    s->size[a] = n;
+    return 1;
+}
+
+/* Undoes the latest add_edge(s, x, y) that returned 1.  The points it made
+   interior are never an end or a start of a later edge, so start[x], end[y]
+   and size[y] still hold their values. */
+static void remove_edge(Scan *s, int x, int y)
+{
+    int a = s->start[x];
+    if (a == y) {
+        s->left[s->size[y]]++;
+    } else {
+        s->end[a] = x;
+        s->start[s->end[y]] = y;
+        s->size[a] -= s->size[y];
+    }
+}
+
 /* Pairs the smallest unpaired point with each later unpaired point in turn,
    in the pure twin's order, skipping pairs that give a point of 0..rot-1 a
-   label below label(0).  Returns 0 when the survivor buffer cannot grow. */
+   label below label(0) and pairs whose edges of t add_edge refuses.  Returns
+   0 when the survivor buffer cannot grow. */
 static int walk(Scan *s, int *v, int *used, int npaired)
 {
     if (npaired == s->d)
@@ -119,12 +169,19 @@ static int walk(Scan *s, int *v, int *used, int npaired)
             && (label(s->rot, a, b) < s->label0
                 || (b < s->rot && label(s->rot, b, a) < s->label0)))
             continue;
-        used[b] = 1;
-        v[a] = b;
-        v[b] = a;
-        if (!walk(s, v, used, npaired + 2))
-            return 0;
-        used[b] = 0;
+        int pa = s->phi[a], pb = s->phi[b];
+        if (!add_edge(s, a, pb))
+            continue;
+        if (add_edge(s, b, pa)) {
+            used[b] = 1;
+            v[a] = b;
+            v[b] = a;
+            if (!walk(s, v, used, npaired + 2))
+                return 0;
+            used[b] = 0;
+            remove_edge(s, b, pa);
+        }
+        remove_edge(s, a, pb);
     }
     used[a] = 0;
     return 1;
@@ -186,7 +243,7 @@ static PyObject *scan_involutions_block(PyObject *self, PyObject *args, PyObject
 {
     static char *kwlist[] = {"d", "first", "phi", "target", "rot", NULL};
     Scan s = {0};
-    int first, ok, v[MAXD], used[MAXD] = {0};
+    int first, ok, v[MAXD], used[MAXD] = {0}, hit[MAXD] = {0};
     PyObject *phi, *target, *result;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOOi:scan_involutions_block", kwlist,
@@ -204,17 +261,31 @@ static PyObject *scan_involutions_block(PyObject *self, PyObject *args, PyObject
     if (read_ints(phi, "phi", s.phi, s.d, 1, 0, s.d - 1) < 0
         || (s.ntarget = read_ints(target, "target", s.target, s.d, 0, 1, s.d)) < 0)
         return NULL;
-    /* Every point of the cycle of phi first reached from x points to x; the
-       walk stops even when phi is not a bijection. */
+    for (int x = 0; x < s.d; x++)
+        if (hit[s.phi[x]]++)
+            return PyErr_Format(PyExc_ValueError, "phi is not a permutation of 0..%d",
+                                s.d - 1);
+    /* Every point of the cycle of phi first reached from x points to x. */
     memset(s.parent, -1, sizeof s.parent);
     for (int x = 0; x < s.d; x++) {
         s.nroots += s.parent[x] < 0;
         for (int y = x; s.parent[y] < 0; y = s.phi[y])
             s.parent[y] = x;
     }
+    for (int x = 0; x < s.d; x++) {
+        s.start[x] = s.end[x] = x;
+        s.size[x] = 1;
+    }
+    for (int i = 0; i < s.ntarget; i++) {
+        s.left[s.target[i]]++;
+        if (s.target[i] > s.largest)
+            s.largest = s.target[i];
+    }
 
     s.label0 = label(s.rot, 0, first);
     if (first < s.rot && label(s.rot, first, 0) < s.label0)
+        return PyList_New(0);
+    if (!add_edge(&s, 0, s.phi[first]) || !add_edge(&s, first, s.phi[0]))
         return PyList_New(0);
     v[0] = first;
     v[first] = 0;

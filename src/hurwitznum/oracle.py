@@ -19,10 +19,13 @@ its cycles, the anchor's point classes, decide transitivity; ``target`` is
 the forced slot's cycle type and ``rot`` the length of the anchor's cycle
 through point 0.  The kernel keeps only involutions that are canonical under
 rotation of that cycle, so its survivors meet every conjugation orbit but
-are not closed under the anchor's centralizer.  Two triples are conjugate
-exactly when their forms are equal, so the merge keeps one survivor per
-form, the least, and neither the representatives nor the counts depend on
-the thread count.
+are not closed under the anchor's centralizer; it cuts a partial involution
+as soon as the forced permutation's closed cycles or open paths rule out
+``target``.  Two triples are conjugate exactly when their forms are equal,
+so the merge keeps one survivor per form, the least, and neither the
+representatives nor the counts depend on the thread count.  The form
+relabels the triple only from the points of its rarest class of (``s1``-
+cycle length, ``s2``-cycle length), a class that conjugation preserves.
 """
 
 from __future__ import annotations
@@ -172,14 +175,35 @@ class _AnchoredReps:
 def _form(t: Triple) -> Form:
     """A complete invariant of simultaneous conjugation of a transitive triple.
 
-    From each start point the points are relabelled in breadth-first order,
+    From a start point the points are relabelled in breadth-first order,
     following ``s1`` and then ``s2``; the form is the least relabelled
-    ``(s1, s2)`` over all starts.  Conjugating the triple only moves the
-    start points, and ``s3`` is forced by the other two, so two triples are
-    conjugate exactly when their forms are equal.
+    ``(s1, s2)`` over the starts.  The starts are the points of the rarest
+    class of the key (length of the point's ``s1``-cycle, length of its
+    ``s2``-cycle), ties going to the least key.  Conjugating the triple maps
+    that class onto itself and only moves the start points, and ``s3`` is
+    forced by the other two, so two triples are conjugate exactly when their
+    forms are equal.
     """
     s1, s2 = t[0], t[1]
     d = len(s1)
+
+    def cycle_lengths(s: P.Perm) -> list[int]:
+        n = [0] * d
+        for x in range(d):
+            if not n[x]:
+                cycle = [x]
+                y = s[x]
+                while y != x:
+                    cycle.append(y)
+                    y = s[y]
+                for y in cycle:
+                    n[y] = len(cycle)
+        return n
+
+    classes: dict[tuple[int, int], list[int]] = {}
+    for p, key in enumerate(zip(cycle_lengths(s1), cycle_lengths(s2))):
+        classes.setdefault(key, []).append(p)
+    _, starts = min(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))
 
     def relabelled(p: int) -> Form:
         label = [-1] * d
@@ -196,7 +220,7 @@ def _form(t: Triple) -> Form:
                 order.append(y)
         return (tuple([label[s1[x]] for x in order]), tuple([label[s2[x]] for x in order]))
 
-    return min([relabelled(p) for p in range(d)])
+    return min([relabelled(p) for p in starts])
 
 
 def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) -> _AnchoredReps:

@@ -112,46 +112,61 @@ def test_backends_agree_on_family_blocks():
             )
 
 
-@needs_speed
 def test_survivors_are_valid_involutions():
     d = 8
-    for phi, target, c in _cases(d, random.Random(7)):
-        r = P.inverse(phi)
-        for first in range(1, d):
-            for v in _speed.scan_involutions_block(d, first, phi, target, c):
-                assert v[0] == first
-                assert P.cycle_type(v) == (2,) * (d // 2)
-                assert P.cycle_type(P.compose(v, phi)) == target
-                assert P.is_transitive([r, v], d)
+    for impl in (_purekernels, _speed):
+        if impl is None:
+            continue
+        for phi, target, c in _cases(d, random.Random(7)):
+            r = P.inverse(phi)
+            for first in range(1, d):
+                for v in impl.scan_involutions_block(d, first, phi, target, c):
+                    assert v[0] == first
+                    assert P.cycle_type(v) == (2,) * (d // 2)
+                    assert P.cycle_type(P.compose(v, phi)) == target
+                    assert P.is_transitive([r, v], d)
+
+
+def _rotation_canonical(v, c):
+    """The rotation-label rule of the kernel, for the cycle 0..c-1."""
+    def label(x):
+        return (v[x] - x) % c if v[x] < c else c + v[x]
+
+    return all(label(0) <= label(x) for x in range(c))
 
 
 @pytest.mark.parametrize(
     "anchor",
-    [(3, 3), (2, 2, 2), (3, 2, 1), (4, 2, 2), (3, 3, 1, 1)],
+    [(3, 3), (2, 2, 2), (3, 2, 1), (4, 2, 2), (3, 3, 1, 1),
+     (4,), (6,), (8,), (10,), (4, 4), (5, 3), (6, 2), (4, 3, 2, 1), (7, 2, 1)],
     ids=lambda parts: "-".join(map(str, parts)),
 )
 def test_block_union_is_the_full_stream(anchor):
     # Several anchor cycles: the kernel's point classes, derived from phi,
-    # decide which survivors are transitive.
+    # decide which survivors are transitive.  With rot = c the blocks keep
+    # exactly the rotation-canonical members of the stream; a scan that
+    # prunes a survivor, or keeps a non-survivor, fails here.
     d = sum(anchor)
+    c = anchor[0]
     r = P.class_representative(anchor)
     phi = P.inverse(r)
+    by_type = {}
+    for v in P.class_stream((2,) * (d // 2)):
+        if P.is_transitive([r, v], d):
+            by_type.setdefault(P.cycle_type(P.compose(v, phi)), []).append(v)
     for target in B.partitions_of(d):
-        brute = sorted(
-            v
-            for v in P.class_stream((2,) * (d // 2))
-            if P.cycle_type(P.compose(v, phi)) == target and P.is_transitive([r, v], d)
-        )
-        for impl in (_purekernels, _speed):
-            if impl is None:
-                continue
-            blocks = [
-                v
-                for first in range(1, d)
-                for v in impl.scan_involutions_block(d, first, phi, target, 1)
-            ]
-            assert len(set(blocks)) == len(blocks)
-            assert sorted(blocks) == brute, (impl.backend(), target)
+        for rot in (1, c):
+            brute = sorted(v for v in by_type.get(target, []) if _rotation_canonical(v, rot))
+            for impl in (_purekernels, _speed):
+                if impl is None:
+                    continue
+                blocks = [
+                    v
+                    for first in range(1, d)
+                    for v in impl.scan_involutions_block(d, first, phi, target, rot)
+                ]
+                assert len(set(blocks)) == len(blocks)
+                assert sorted(blocks) == brute, (impl.backend(), target, rot)
 
 
 def test_kernel_input_validation():
@@ -165,6 +180,12 @@ def test_kernel_input_validation():
         for rot in (0, 5):
             with pytest.raises(ValueError):
                 impl.scan_involutions_block(4, 1, (0, 1, 2, 3), (2, 2), rot)
+        for target in ((5,), (0, 4), (1,) * 5):
+            with pytest.raises(ValueError):
+                impl.scan_involutions_block(4, 1, (0, 1, 2, 3), target, 1)
+        for phi in ((0, 1, 2, 2), (1, 2, 3, 4), (0, 1, 2)):
+            with pytest.raises(ValueError):
+                impl.scan_involutions_block(4, 1, phi, (2, 2), 1)
 
 
 def test_backend_names():
