@@ -12,7 +12,8 @@ Subcommands:
 * ``sweep``: run every in-scope datum up to a degree bound through all
   available paths and report discrepancies.  Only the oracle counts are
   cached, as JSON lines; formulas and witnesses are recomputed on every run,
-  so a warm cache cannot hide a change to them.
+  so a warm cache cannot hide a change to them.  A cached count that
+  disagrees with them is recomputed before a discrepancy is reported.
 
 Each subcommand accepts only the flags it reads.
 
@@ -423,7 +424,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         W.enumerate_witnesses(params.g, params.h, params.k, params.pi)
                     )
                 key = (datum, label)
-                if not args.force and key in cache:
+                # A cached count that disagrees with the formula or the
+                # witnesses is recomputed before it is reported, so a stale or
+                # hand-edited line cannot invent a discrepancy.
+                if (
+                    not args.force
+                    and key in cache
+                    and all(v == cache[key] for v in values.values())
+                ):
                     reused += 1
                 else:
                     cache[key] = O.weak_hurwitz(

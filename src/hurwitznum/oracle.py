@@ -33,12 +33,13 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
 
 from . import kernels
 from . import perm as P
-from .branchdata import BranchDatum, rh_compatible
+from .branchdata import BranchDatum, Partition, rh_compatible
 
 HARD_DEGREE_CAP = 24
 DEFAULT_DEGREE_BOUND = 16
@@ -390,6 +391,33 @@ def weak_hurwitz(
     return _weak_orbit_count(datum, info, convention)
 
 
+@dataclass(frozen=True)
+class _ClassTable:
+    """One conjugacy class of S_d, listed once, with the maps that
+    ``unanchored_profile`` reads."""
+
+    perms: tuple[P.Perm, ...]  # in class_stream order
+    index: dict[P.Perm, int]  # index[perms[i]] == i
+    inverses: tuple[P.Perm, ...]  # inverses[i] == inverse(perms[i])
+    # One map per generator (0 1), (0 1 ... d-1) of S_d, none at d = 1:
+    # gen_maps[j][i] is the index of perms[i] conjugated by generator j.
+    gen_maps: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _class_table(pi: Partition) -> _ClassTable:
+    d = sum(pi)
+    perms = tuple(P.class_stream(pi))
+    index = {p: i for i, p in enumerate(perms)}
+    gens = [P.from_cycles(d, [(0, 1)]), P.from_cycles(d, [tuple(range(d))])] if d > 1 else []
+    return _ClassTable(
+        perms,
+        index,
+        tuple(map(P.inverse, perms)),
+        tuple(tuple(index[P.conjugate(p, g)] for p in perms) for g in gens),
+    )
+
+
 def unanchored_profile(
     datum: BranchDatum,
 ) -> tuple[int, dict[str, int]]:
@@ -402,6 +430,11 @@ def unanchored_profile(
     pair is kept when the forced permutation is in that slot's index, so
     its cycle type is right.  A triple is keyed by the indices of its two
     looped slots, which determine the third.
+
+    The class lists, indices, inverses and generator maps are built once
+    per partition and shared by every later call in the process.  The
+    degree guard runs first, so that table cache holds at most the 66
+    partitions of d <= 8 (at most 46,233 permutations).
 
     Strong orbits are closed under conjugation by ``(0 1)`` and
     ``(0 1 ... d-1)``, which generate S_d and act on each slot as an index
@@ -417,12 +450,11 @@ def unanchored_profile(
     d = datum.degree
     if d > 8:
         raise InfeasibleDegreeError(f"unanchored enumeration is for tiny degrees, got d={d}")
-    sizes = [P.class_size(pi) for pi in datum.partitions]
-    c = max(range(3), key=lambda s: (sizes[s], s))
+    tables = [_class_table(pi) for pi in datum.partitions]
+    c = max(range(3), key=lambda s: (len(tables[s].perms), s))
     x, y = (c + 1) % 3, (c + 2) % 3
-    classes = [list(P.class_stream(pi)) for pi in datum.partitions]
-    index = [{p: i for i, p in enumerate(ps)} for ps in classes]
-    ny = len(classes[y])
+    tx, ty = tables[x], tables[y]
+    ny = len(ty.perms)
 
     # The forced slot is _forced(t, c) = compose(inverse(t[y]), inverse(t[x])),
     # and itemgetter(*q)(p) is compose(p, q).  With one index itemgetter
@@ -430,32 +462,25 @@ def unanchored_profile(
     def composed_with(q: P.Perm) -> Callable[[P.Perm], P.Perm]:
         return itemgetter(*q) if d > 1 else tuple
 
-    inv_x = [P.inverse(p) for p in classes[x]]
-    inv_y = [P.inverse(p) for p in classes[y]]
-    in_c = index[c].__contains__
+    in_c = tables[c].index.__contains__
     keys: list[int] = []
-    for kx, wx in enumerate(inv_x):
-        hits = map(in_c, map(composed_with(wx), inv_y))
+    for kx, wx in enumerate(tx.inverses):
+        hits = map(in_c, map(composed_with(wx), ty.inverses))
         keys.extend(compress(range(kx * ny, kx * ny + ny), hits))
 
     def triple(key: int) -> Triple:
         kx, ky = divmod(key, ny)
-        t = [classes[x][kx]] * 3
-        t[y] = classes[y][ky]
+        t = [tx.perms[kx]] * 3
+        t[y] = ty.perms[ky]
         t[c] = _forced(t, c)
         return (t[0], t[1], t[2])
 
     if __debug__:
         for key in keys[:8]:
             kx, ky = divmod(key, ny)
-            assert composed_with(inv_x[kx])(inv_y[ky]) == triple(key)[c]
+            assert composed_with(tx.inverses[kx])(ty.inverses[ky]) == triple(key)[c]
 
-    gens = [P.from_cycles(d, [(0, 1)]), P.from_cycles(d, [tuple(range(d))])] if d > 1 else []
-    maps = [
-        ([index[x][P.conjugate(p, g)] for p in classes[x]],
-         [index[y][P.conjugate(p, g)] for p in classes[y]])
-        for g in gens
-    ]
+    maps = list(zip(tx.gen_maps, ty.gen_maps))
     # orbit[key] is the first key of its conjugation orbit; roots numbers the
     # first keys of the transitive orbits, whose triples are reps.
     orbit: dict[int, int] = {}
@@ -490,6 +515,6 @@ def unanchored_profile(
         for i, t in enumerate(reps):
             for move in moves:
                 u = move(t)
-                _union(parent, i, roots[orbit[index[x][u[x]] * ny + index[y][u[y]]]])
+                _union(parent, i, roots[orbit[tx.index[u[x]] * ny + ty.index[u[y]]]])
         weak[convention.label()] = sum(1 for i in range(strong) if _find(parent, i) == i)
     return strong, weak

@@ -323,6 +323,7 @@ def test_interrupted_sweep_keeps_computed_entries(capsys, tmp_path, monkeypatch)
 def test_cache_cannot_mask_a_formula_change(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache.jsonl"
     assert run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))[0] == 0
+    n = len(cache.read_text().splitlines())
     monkeypatch.setattr(
         cli.F,
         "nu_for_family",
@@ -330,8 +331,28 @@ def test_cache_cannot_mask_a_formula_change(capsys, tmp_path, monkeypatch):
     )
     code, out, err = run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))
     assert code == 2
-    assert "DISCREPANT" in out
-    assert "0 computed" in err
+    assert out.count("DISCREPANT") == n
+    # Every cached count disagrees with the formula, so each is recomputed
+    # once, and the recomputed count still disagrees.
+    assert f"({n} computed, 0 cached)" in err
+
+
+def test_tampered_cache_count_is_recomputed(capsys, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    _, expected, _ = run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))
+    lines = cache.read_text().splitlines()
+    entry = json.loads(lines[0])
+    entry["nu"] += 7
+    cache.write_text("\n".join([json.dumps(entry, sort_keys=True), *lines[1:]]) + "\n")
+    code, out, err = run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))
+    assert code == 0
+    assert out == expected
+    assert f"(1 computed, {len(lines) - 1} cached)" in err
+    # The fresh count is appended, and the later line wins on the next load.
+    assert cache.read_text().splitlines()[-1] == lines[0]
+    code, out, err = run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))
+    assert (code, out) == (0, expected)
+    assert f"(0 computed, {len(lines)} cached)" in err
 
 
 def test_cache_written_by_other_code_is_recomputed(capsys, tmp_path, monkeypatch):

@@ -250,8 +250,44 @@ def test_unanchored_profile_matches_brute_force(datum):
 
 
 def test_unanchored_rejects_large_degree():
-    with pytest.raises(O.InfeasibleDegreeError):
-        O.unanchored_profile(fam(0, 1, 5, (8, 1, 1)))
+    # The guard runs before any class table is built, so the table cache
+    # stays bounded by the classes of d <= 8.
+    before = O._class_table.cache_info().currsize
+    for datum in (B.BranchDatum(0, 9, ((9,), (9,), (1,) * 9)), fam(0, 1, 5, (8, 1, 1))):
+        with pytest.raises(O.InfeasibleDegreeError):
+            O.unanchored_profile(datum)
+    assert O._class_table.cache_info().currsize == before
+
+
+def test_class_tables():
+    for pi in [pi for d in range(1, 7) for pi in B.partitions_of(d)]:
+        table = O._class_table(pi)
+        ps = table.perms
+        n = len(ps)
+        assert n == P.class_size(pi) == len(set(ps)), pi
+        assert all(P.cycle_type(p) == pi for p in ps), pi
+        assert len(table.index) == n and all(table.index[p] == i for i, p in enumerate(ps)), pi
+        assert table.inverses == tuple(P.inverse(p) for p in ps), pi
+        d = sum(pi)
+        gens = [P.from_cycles(d, [(0, 1)]), P.from_cycles(d, [tuple(range(d))])] if d > 1 else []
+        assert len(table.gen_maps) == len(gens), pi
+        for m, g in zip(table.gen_maps, gens):
+            assert sorted(m) == list(range(n)), (pi, g)
+            assert all(m[i] == table.index[P.conjugate(ps[i], g)] for i in range(n)), (pi, g)
+
+
+def test_unanchored_profile_same_on_cold_and_warm_tables():
+    data = [
+        B.BranchDatum(0, 1, ((1,), (1,), (1,))),
+        B.BranchDatum(0, 4, ((3, 1), (3, 1), (3, 1))),
+        fam(0, 1, 3, (4, 1, 1)),
+        B.BranchDatum(1, 6, ((5, 1), (5, 1), (5, 1))),
+    ]
+    for datum in data:
+        O._class_table.cache_clear()
+        cold = O.unanchored_profile(datum)
+        assert O._class_table.cache_info().currsize == len(set(datum.partitions))
+        assert O.unanchored_profile(datum) == cold, datum
 
 
 def test_full_moves_is_the_only_fitting_convention():

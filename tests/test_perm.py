@@ -1,5 +1,6 @@
 """Permutation algebra: composition, classes, transitivity, streaming."""
 
+import itertools
 import math
 
 import pytest
@@ -73,11 +74,16 @@ def test_from_cycles_rejects_bad_input():
 
 
 def test_class_size_matches_stream():
-    for parts in [(3,), (2, 1), (2, 2), (3, 1), (4,), (2, 2, 1), (3, 2)]:
-        elems = list(P.class_stream(parts))
-        assert len(elems) == P.class_size(parts)
-        assert len(set(elems)) == len(elems)
-        assert all(P.cycle_type(p) == tuple(sorted(parts, reverse=True)) for p in elems)
+    # Every partition of d <= 7, (1,) included, found as the cycle types of
+    # S_d; each stream must list exactly its class, once.
+    for d in range(1, 8):
+        classes: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+        for p in itertools.permutations(range(d)):
+            classes.setdefault(P.cycle_type(p), set()).add(p)
+        for parts, members in classes.items():
+            elems = list(P.class_stream(parts))
+            assert len(elems) == P.class_size(parts) == len(members), parts
+            assert set(elems) == members, parts
 
 
 def test_class_size_formula():
