@@ -434,11 +434,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 ):
                     reused += 1
                 else:
-                    cache[key] = O.weak_hurwitz(
-                        datum, conv, threads=args.threads, degree_bound=args.max_d
-                    )
+                    nu = O.weak_hurwitz(datum, conv, threads=args.threads, degree_bound=args.max_d)
                     computed += 1
-                    if path is not None:
+                    # Unless forced, a recount that only confirms the cached
+                    # line adds none, so a real discrepancy does not grow the
+                    # file on every run.
+                    is_new = args.force or cache.get(key) != nu
+                    cache[key] = nu
+                    if path is not None and is_new:
                         # Written and flushed at once, so an interrupted sweep
                         # keeps every entry it computed.
                         if sink is None:

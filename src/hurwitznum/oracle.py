@@ -264,12 +264,16 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
                 survivors.add(completed(v))
     else:
         id_d = P.identity(d)
+        # The forced slot is the inverse of this product, which has the
+        # same cycle type, so only survivors are completed.
+        stream_first = stream == (forced + 1) % 3
         for v in P.class_stream(tau_s):
-            triple = completed(v)
-            if P.cycle_type(triple[forced]) != tau_f:
+            product = P.compose(v, r) if stream_first else P.compose(r, v)
+            if P.cycle_type(product) != tau_f:
                 continue
             if not P.is_transitive([r, v], d):
                 continue
+            triple = completed(v)
             if __debug__:
                 t1, t2, t3 = triple
                 assert P.compose(t1, P.compose(t2, t3)) == id_d
@@ -423,26 +427,34 @@ def unanchored_profile(
 ) -> tuple[int, dict[str, int]]:
     """(strong, weak-by-convention-label) by exhaustive enumeration.
 
-    Every triple with product one is enumerated, with no anchor, no kernel
-    and no canonical form.  Each slot's class is listed once and indexed by
-    a dict from permutation to index.  The pair loop runs over the two
-    smallest classes; the product relation forces the third slot, and the
-    pair is kept when the forced permutation is in that slot's index, so
-    its cycle type is right.  A triple is keyed by the indices of its two
-    looped slots, which determine the third.
+    Every triple with product one is reached, with no anchor, no kernel,
+    no canonical form and no centralizer.  Each slot's class is listed once
+    and indexed by a dict from permutation to index.  Slot c has the
+    largest class, and the product relation forces it from the two slots x
+    and y after it.  A triple is keyed by the indices (kx, ky) of its x and
+    y in their classes, as ``kx * |Y| + ky``.
+
+    The walk is seeded from one row of that pair table: x fixed to the
+    first member of its class (kx = 0), y over its whole class, and the
+    pair kept when the forced permutation is in slot c's index, so its
+    cycle type is right.  Conjugation acts transitively on x's class, so
+    every conjugation orbit of triples meets that row.  Row-0 keys are the
+    least keys, so each orbit's least key is a seed, and it is the root.
+    From each new seed the walk closes the orbit under conjugation by
+    ``(0 1)`` and ``(0 1 ... d-1)``, which generate S_d and act on each slot
+    as an index map.  So the walk still reaches every triple with product
+    one and the right cycle types, and the reference stays exhaustive.
 
     The class lists, indices, inverses and generator maps are built once
     per partition and shared by every later call in the process.  The
     degree guard runs first, so that table cache holds at most the 66
     partitions of d <= 8 (at most 46,233 permutations).
 
-    Strong orbits are closed under conjugation by ``(0 1)`` and
-    ``(0 1 ... d-1)``, which generate S_d and act on each slot as an index
-    map; weak orbits are further closed under each convention's moves,
-    whose images are keyed through the same dicts.  Conjugation and the
-    moves preserve transitivity, so it is checked once per strong orbit and
-    only transitive orbits are counted.  The enumeration is shared across
-    all conventions.  Only sensible for very small degrees; used to certify
+    Weak orbits are further closed under each convention's moves, whose
+    images are keyed through the same dicts.  Conjugation and the moves
+    preserve transitivity, so it is checked once per strong orbit and only
+    transitive orbits are counted.  The enumeration is shared across all
+    conventions.  Only sensible for very small degrees; used to certify
     the anchored algorithm.
     """
     if not rh_compatible(datum):
@@ -462,11 +474,9 @@ def unanchored_profile(
     def composed_with(q: P.Perm) -> Callable[[P.Perm], P.Perm]:
         return itemgetter(*q) if d > 1 else tuple
 
-    in_c = tables[c].index.__contains__
-    keys: list[int] = []
-    for kx, wx in enumerate(tx.inverses):
-        hits = map(in_c, map(composed_with(wx), ty.inverses))
-        keys.extend(compress(range(kx * ny, kx * ny + ny), hits))
+    # The seeds: row kx = 0, whose keys are the ky themselves.
+    hits = map(tables[c].index.__contains__, map(composed_with(tx.inverses[0]), ty.inverses))
+    seeds = list(compress(range(ny), hits))
 
     def triple(key: int) -> Triple:
         kx, ky = divmod(key, ny)
@@ -476,17 +486,16 @@ def unanchored_profile(
         return (t[0], t[1], t[2])
 
     if __debug__:
-        for key in keys[:8]:
-            kx, ky = divmod(key, ny)
-            assert composed_with(tx.inverses[kx])(ty.inverses[ky]) == triple(key)[c]
+        for key in seeds[:8]:
+            assert composed_with(tx.inverses[0])(ty.inverses[key]) == triple(key)[c]
 
     maps = list(zip(tx.gen_maps, ty.gen_maps))
-    # orbit[key] is the first key of its conjugation orbit; roots numbers the
-    # first keys of the transitive orbits, whose triples are reps.
+    # orbit[key] is the least key of its conjugation orbit; roots numbers the
+    # least keys of the transitive orbits, whose triples are reps.
     orbit: dict[int, int] = {}
     roots: dict[int, int] = {}
     reps: list[Triple] = []
-    for key in keys:
+    for key in seeds:
         if key in orbit:
             continue
         orbit[key] = key

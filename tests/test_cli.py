@@ -335,6 +335,13 @@ def test_cache_cannot_mask_a_formula_change(capsys, tmp_path, monkeypatch):
     # Every cached count disagrees with the formula, so each is recomputed
     # once, and the recomputed count still disagrees.
     assert f"({n} computed, 0 cached)" in err
+    # The recomputed counts equal the cached ones, so no line is appended,
+    # and a second run reports the same.
+    assert len(cache.read_text().splitlines()) == n
+    code2, out2, err2 = run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))
+    assert (code2, out2) == (code, out)
+    assert f"({n} computed, 0 cached)" in err2
+    assert len(cache.read_text().splitlines()) == n
 
 
 def test_tampered_cache_count_is_recomputed(capsys, tmp_path):

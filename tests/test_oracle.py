@@ -241,6 +241,17 @@ def _small_data():
             if chi % 2 == 0 and chi <= 2:
                 for pis in sorted(set(permutations(combo))):
                     out.append(B.BranchDatum((2 - chi) // 2, d, pis))
+    # d = 5 data with two to four strong orbits, where every class has more
+    # than one member, so the reference's walk must reach orbits and keys
+    # beyond its first seed.
+    for g, combo in [
+        (2, ((5,), (5,), (5,))),
+        (1, ((5,), (4, 1), (4, 1))),
+        (0, ((4, 1), (4, 1), (2, 2, 1))),
+        (0, ((4, 1), (3, 2), (3, 1, 1))),
+    ]:
+        for pis in sorted(set(permutations(combo))):
+            out.append(B.BranchDatum(g, 5, pis))
     return out
 
 
