@@ -436,10 +436,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 else:
                     nu = O.weak_hurwitz(datum, conv, threads=args.threads, degree_bound=args.max_d)
                     computed += 1
-                    # Unless forced, a recount that only confirms the cached
-                    # line adds none, so a real discrepancy does not grow the
-                    # file on every run.
-                    is_new = args.force or cache.get(key) != nu
+                    # A recount that only confirms the cached line adds none,
+                    # so neither a real discrepancy nor --force grows the file
+                    # on every run.
+                    is_new = cache.get(key) != nu
                     cache[key] = nu
                     if path is not None and is_new:
                         # Written and flushed at once, so an interrupted sweep

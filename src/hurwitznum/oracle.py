@@ -34,7 +34,7 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, chain, compress
 from operator import itemgetter
 
 from . import kernels
@@ -397,29 +397,65 @@ def weak_hurwitz(
 
 @dataclass(frozen=True)
 class _ClassTable:
-    """One conjugacy class of S_d, listed once, with the maps that
-    ``unanchored_profile`` reads."""
+    """One conjugacy class of S_d, listed once, with the index, inverses and
+    centralizer generators that ``unanchored_profile`` reads."""
 
     perms: tuple[P.Perm, ...]  # in class_stream order
     index: dict[P.Perm, int]  # index[perms[i]] == i
     inverses: tuple[P.Perm, ...]  # inverses[i] == inverse(perms[i])
-    # One map per generator (0 1), (0 1 ... d-1) of S_d, none at d = 1:
-    # gen_maps[j][i] is the index of perms[i] conjugated by generator j.
-    gen_maps: tuple[tuple[int, ...], ...]
+    # perms[0] is the class representative.  These generate its centralizer:
+    # the rotation of each cycle, and the pointwise swap of each pair of
+    # adjacent equal-length cycles (fixed points included).  None at d = 1.
+    centralizer: tuple[P.Perm, ...]
 
 
 @lru_cache(maxsize=None)
 def _class_table(pi: Partition) -> _ClassTable:
     d = sum(pi)
     perms = tuple(P.class_stream(pi))
-    index = {p: i for i, p in enumerate(perms)}
-    gens = [P.from_cycles(d, [(0, 1)]), P.from_cycles(d, [tuple(range(d))])] if d > 1 else []
+    assert perms[0] == P.class_representative(pi)
+    # Cycle i of perms[0] is range(starts[i], starts[i + 1]).
+    starts = list(accumulate(pi, initial=0))
+    centralizer = []
+    for i, length in enumerate(pi):
+        if length > 1:
+            centralizer.append(P.from_cycles(d, [range(starts[i], starts[i + 1])]))
+        if i and pi[i - 1] == length:
+            swap = [(starts[i - 1] + j, starts[i] + j) for j in range(length)]
+            centralizer.append(P.from_cycles(d, swap))
     return _ClassTable(
         perms,
-        index,
+        {p: i for i, p in enumerate(perms)},
         tuple(map(P.inverse, perms)),
-        tuple(tuple(index[P.conjugate(p, g)] for p in perms) for g in gens),
+        tuple(centralizer),
     )
+
+
+def _to_representative(p: P.Perm) -> P.Perm:
+    """A g with ``conjugate(p, g) == class_representative(cycle_type(p))``.
+
+    g lays the cycles of p on consecutive points, longest first, each from
+    its least point, as ``class_representative`` lays out its cycles.
+    """
+    d = len(p)
+    seen = [False] * d
+    cycles = []
+    for start in range(d):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        x = p[start]
+        while x != start:
+            seen[x] = True
+            cycle.append(x)
+            x = p[x]
+        cycles.append(cycle)
+    cycles.sort(key=len, reverse=True)
+    g = [0] * d
+    for point, x in enumerate(chain.from_iterable(cycles)):
+        g[x] = point
+    return tuple(g)
 
 
 def unanchored_profile(
@@ -427,35 +463,38 @@ def unanchored_profile(
 ) -> tuple[int, dict[str, int]]:
     """(strong, weak-by-convention-label) by exhaustive enumeration.
 
-    Every triple with product one is reached, with no anchor, no kernel,
-    no canonical form and no centralizer.  Each slot's class is listed once
-    and indexed by a dict from permutation to index.  Slot c has the
-    largest class, and the product relation forces it from the two slots x
-    and y after it.  A triple is keyed by the indices (kx, ky) of its x and
-    y in their classes, as ``kx * |Y| + ky``.
+    Every conjugation orbit of triples with product one is reached, with no
+    anchor, kernel or canonical form.  Each slot's class is listed once and
+    indexed by a dict from permutation to index.  Slot c has the largest
+    class, and the product relation forces it from the two slots x and y
+    after it.
 
-    The walk is seeded from one row of that pair table: x fixed to the
-    first member of its class (kx = 0), y over its whole class, and the
-    pair kept when the forced permutation is in slot c's index, so its
-    cycle type is right.  Conjugation acts transitively on x's class, so
-    every conjugation orbit of triples meets that row.  Row-0 keys are the
-    least keys, so each orbit's least key is a seed, and it is the root.
-    From each new seed the walk closes the orbit under conjugation by
-    ``(0 1)`` and ``(0 1 ... d-1)``, which generate S_d and act on each slot
-    as an index map.  So the walk still reaches every triple with product
-    one and the right cycle types, and the reference stays exhaustive.
+    Slot x is fixed to its class representative x0 = ``tx.perms[0]``, whose
+    cycles fill consecutive points, and y runs over its whole class; a pair
+    is kept when the forced permutation is in slot c's index, so its cycle
+    type is right.  Such a triple is keyed by the index ky of its y.
+    Conjugation acts transitively on x's class, so every conjugation orbit
+    of triples meets this row, and two triples of the row are conjugate
+    exactly when an element of the centralizer C(x0) conjugates one into
+    the other.  So from each new key, in increasing order, the walk closes
+    its orbit under conjugation of y by generators of C(x0), which fix x0
+    and keep the walk in the row.  Each orbit's root is its least key.
 
-    The class lists, indices, inverses and generator maps are built once
-    per partition and shared by every later call in the process.  The
-    degree guard runs first, so that table cache holds at most the 66
+    The class lists, indices, inverses and centralizer generators are
+    built once per partition and shared by every later call in the process.
+    The degree guard runs first, so that table cache holds at most the 66
     partitions of d <= 8 (at most 46,233 permutations).
 
-    Weak orbits are further closed under each convention's moves, whose
-    images are keyed through the same dicts.  Conjugation and the moves
-    preserve transitivity, so it is checked once per strong orbit and only
-    transitive orbits are counted.  The enumeration is shared across all
-    conventions.  Only sensible for very small degrees; used to certify
-    the anchored algorithm.
+    Weak orbits are further closed under each convention's moves.  A move
+    image u is brought back to the row by the conjugator g that lays the
+    cycles of u[x] out as x0's, and its orbit is looked up by the index of
+    u[y] conjugated by g.  Conjugation and the moves preserve transitivity,
+    so it is checked once per strong orbit and only transitive orbits are
+    counted.  The enumeration is shared across all conventions.  This path
+    shares only ``perm`` primitives with the anchored one: that path uses
+    no centralizer, and this one no anchored scan, kernel or ``_form``.
+    Only sensible for very small degrees; used to certify the anchored
+    algorithm.
     """
     if not rh_compatible(datum):
         raise IncompatibleDatumError(f"datum {datum} fails the compatibility relation")
@@ -466,32 +505,26 @@ def unanchored_profile(
     c = max(range(3), key=lambda s: (len(tables[s].perms), s))
     x, y = (c + 1) % 3, (c + 2) % 3
     tx, ty = tables[x], tables[y]
-    ny = len(ty.perms)
 
     # The forced slot is _forced(t, c) = compose(inverse(t[y]), inverse(t[x])),
     # and itemgetter(*q)(p) is compose(p, q).  With one index itemgetter
     # returns a bare point; at d = 1 every permutation is (0,), and so is p.
-    def composed_with(q: P.Perm) -> Callable[[P.Perm], P.Perm]:
-        return itemgetter(*q) if d > 1 else tuple
+    composed_with = itemgetter(*tx.inverses[0]) if d > 1 else tuple
+    hits = map(tables[c].index.__contains__, map(composed_with, ty.inverses))
+    seeds = list(compress(range(len(ty.perms)), hits))
 
-    # The seeds: row kx = 0, whose keys are the ky themselves.
-    hits = map(tables[c].index.__contains__, map(composed_with(tx.inverses[0]), ty.inverses))
-    seeds = list(compress(range(ny), hits))
-
-    def triple(key: int) -> Triple:
-        kx, ky = divmod(key, ny)
-        t = [tx.perms[kx]] * 3
+    def triple(ky: int) -> Triple:
+        t = [tx.perms[0]] * 3
         t[y] = ty.perms[ky]
         t[c] = _forced(t, c)
         return (t[0], t[1], t[2])
 
     if __debug__:
         for key in seeds[:8]:
-            assert composed_with(tx.inverses[0])(ty.inverses[key]) == triple(key)[c]
+            assert composed_with(ty.inverses[key]) == triple(key)[c]
 
-    maps = list(zip(tx.gen_maps, ty.gen_maps))
-    # orbit[key] is the least key of its conjugation orbit; roots numbers the
-    # least keys of the transitive orbits, whose triples are reps.
+    # orbit[ky] is the least key of its C(x0) orbit; roots numbers the least
+    # keys of the transitive orbits, whose triples are reps.
     orbit: dict[int, int] = {}
     roots: dict[int, int] = {}
     reps: list[Triple] = []
@@ -500,10 +533,10 @@ def unanchored_profile(
             continue
         orbit[key] = key
         todo = [key]
-        for k in todo:  # todo grows as the walk reaches new triples
-            kx, ky = divmod(k, ny)
-            for mx, my in maps:
-                image = mx[kx] * ny + my[ky]
+        for k in todo:  # todo grows as the walk reaches new keys
+            p = ty.perms[k]
+            for g in tx.centralizer:
+                image = ty.index[P.conjugate(p, g)]
                 if image not in orbit:
                     orbit[image] = key
                     todo.append(image)
@@ -524,6 +557,7 @@ def unanchored_profile(
         for i, t in enumerate(reps):
             for move in moves:
                 u = move(t)
-                _union(parent, i, roots[orbit[tx.index[u[x]] * ny + ty.index[u[y]]]])
+                g = _to_representative(u[x])
+                _union(parent, i, roots[orbit[ty.index[P.conjugate(u[y], g)]]])
         weak[convention.label()] = sum(1 for i in range(strong) if _find(parent, i) == i)
     return strong, weak

@@ -237,7 +237,16 @@ def test_sweep_force_recomputes(capsys, tmp_path):
     _, _, err = run(capsys, "sweep", "--max-d", "6", "--cache", str(cache),
                     "--force")
     assert "0 cached" in err
-    assert len(cache.read_text().splitlines()) == 2 * n
+    # A forced recount of an intact cache appends nothing.
+    lines = cache.read_text().splitlines()
+    assert len(lines) == n
+    entry = json.loads(lines[0])
+    entry["nu"] += 1
+    cache.write_text("\n".join([json.dumps(entry, sort_keys=True)] + lines[1:]) + "\n")
+    run(capsys, "sweep", "--max-d", "6", "--cache", str(cache), "--force")
+    assert len(cache.read_text().splitlines()) == n + 1
+    _, _, err = run(capsys, "sweep", "--max-d", "6", "--cache", str(cache))
+    assert "(0 computed," in err
 
 
 def test_sweep_ignores_corrupt_cache_lines(capsys, tmp_path):

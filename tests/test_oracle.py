@@ -279,12 +279,29 @@ def test_class_tables():
         assert all(P.cycle_type(p) == pi for p in ps), pi
         assert len(table.index) == n and all(table.index[p] == i for i, p in enumerate(ps)), pi
         assert table.inverses == tuple(P.inverse(p) for p in ps), pi
+        # The generators commute with the representative ps[0], and they
+        # generate its whole centralizer, of order d! / |class|.
         d = sum(pi)
-        gens = [P.from_cycles(d, [(0, 1)]), P.from_cycles(d, [tuple(range(d))])] if d > 1 else []
-        assert len(table.gen_maps) == len(gens), pi
-        for m, g in zip(table.gen_maps, gens):
-            assert sorted(m) == list(range(n)), (pi, g)
-            assert all(m[i] == table.index[P.conjugate(ps[i], g)] for i in range(n)), (pi, g)
+        rep = P.class_representative(pi)
+        assert ps[0] == rep, pi
+        for g in table.centralizer:
+            assert P.compose(g, rep) == P.compose(rep, g), (pi, g)
+        group = {P.identity(d)}
+        todo = list(group)
+        for h in todo:
+            for g in table.centralizer:
+                gh = P.compose(g, h)
+                if gh not in group:
+                    group.add(gh)
+                    todo.append(gh)
+        assert len(group) == factorial(d) // n, pi
+
+
+def test_to_representative_conjugates_onto_the_class_representative():
+    for pi in [pi for d in range(1, 6) for pi in B.partitions_of(d)]:
+        rep = P.class_representative(pi)
+        for p in P.class_stream(pi):
+            assert P.conjugate(p, O._to_representative(p)) == rep, (pi, p)
 
 
 def test_unanchored_profile_same_on_cold_and_warm_tables():
