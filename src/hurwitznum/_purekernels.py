@@ -3,23 +3,34 @@
 The hot loop of the oracle scans every fixed-point-free involution ``v`` of
 degree ``d`` and keeps those whose forced companion permutation has a
 prescribed cycle type while generating a transitive group together with the
-anchored permutation.  The scan takes ``(d, first, phi, target, rot)``:
-``phi`` is the inverse of the anchor, and the anchor's point classes, which
-decide transitivity, are the cycles of ``phi``, found once per call.  This
-module implements that scan in plain Python and is the reference the
-compiled twin `_speed` (built from `_speed.c`) is tested against; `kernels`
-picks one at import time, and only takes the compiled twin when its `API`
-equals this module's.
+anchored permutation.  The scan takes ``(d, first, lens, target)``: the
+anchor is ``r = class_representative(lens)``, whose cycle ``i`` lies on the
+points ``s_i .. s_i + l_i - 1`` as ``x -> x + 1``, and the kernel derives
+its inverse ``phi`` from ``lens``.  The anchor's point classes, which decide
+transitivity, are the cycles of ``phi``.  This module implements that scan
+in plain Python and is the reference the compiled twin `_speed` (built from
+`_speed.c`) is tested against; `kernels` picks one at import time, and only
+takes the compiled twin when its `API` equals this module's.
 
-The scan keeps only involutions that are canonical under rotation of the
-anchor's cycle through point 0.  The oracle's anchor places that cycle on
-``0..rot-1`` as ``x -> x + 1``, so conjugating by the rotation fixes the
-anchor and maps survivors to survivors.  For ``x < rot`` let
-``label(x) = (v[x] - x) % rot`` when ``v[x] < rot``, else ``rot + v[x]``;
-rotating ``v`` rotates these labels, so keeping only ``v`` with
-``label(0) <= label(x)`` for every ``x < rot`` keeps at least one member of
-every rotation orbit.  The walk places the pairs at ``0..rot-1`` first, so a
-violated label cuts its whole subtree.  ``rot = 1`` keeps everything.
+Conjugating by an element of the anchor's centralizer fixes the anchor and
+maps survivors to survivors, so the scan keeps only the survivors that pass
+two tests, and the least member of every centralizer orbit passes both:
+
+(a) the cycle-0 label rule.  For ``x < l_0`` let ``label(x) = (v[x] - x) %
+    l_0`` when ``v[x] < l_0``, else ``l_0 + v[x]``.  Rotating cycle 0 rotates
+    these labels, and ``label`` is increasing in the image of point 0 under
+    the rotated ``v``, so keeping only ``v`` with ``label(0) <= label(x)``
+    for every ``x < l_0`` compares position 0 of ``v`` with that of each
+    rotation of it.  The walk places the pairs at ``0..l_0-1`` first, so a
+    violated label cuts its whole subtree.
+(b) for every ``g`` in ``S``, ``conjugate(v, g)`` is not lexicographically
+    smaller than ``v``.  ``S`` holds every power of the rotation of each
+    cycle ``i >= 1`` and the pointwise swap of each pair of adjacent
+    equal-length cycles, fixed points and cycles 0 and 1 included; all of
+    them commute with ``r``.  The test runs as each pair is placed, and cuts
+    only when a conjugate is already strictly smaller on positions that both
+    sides have fixed, so at the last pair it is the full comparison.  ``S``
+    is built once per ``lens``, and is empty for a one-cycle anchor.
 
 The walk also follows the composite ``t[x] = phi[v[x]]`` as it grows:
 placing the pair ``(a, b)`` adds the edges ``a -> phi[b]`` and
@@ -28,31 +39,66 @@ paths.  A subtree is cut when an edge closes a cycle whose length is no
 longer left among the target's parts (otherwise that part is taken off), or
 when an open path has more points than the largest part, since every
 completion then has the wrong cycle type.  Backtracking undoes the edges.
-Only non-survivors are cut, so the survivors and their order are those of
-the full walk; the leaf still checks cycle type and transitivity in full.
+These cuts drop only non-survivors, so the union of the blocks is exactly
+the involutions that survive and pass (a) and (b), in the order of the full
+walk; the leaf still checks cycle type and transitivity in full.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
+from itertools import accumulate
 
 # Bumped whenever the signature or the semantics of the scan change; a
 # compiled twin whose `API` differs is stale and is not used.
-API = 4
+API = 5
+
+Perm = tuple[int, ...]
 
 
 def backend() -> str:
     return "pure"
 
 
+@lru_cache(maxsize=None)
+def _anchor(lens: tuple[int, ...]) -> tuple[Perm, Perm, int, tuple[tuple[Perm, Perm], ...]]:
+    """(phi, forest, number of roots, S as (g, g^-1) pairs) for the anchor
+    ``class_representative(lens)``; in the forest every point of a cycle of
+    phi points to the cycle's least point."""
+    d = sum(lens)
+    starts = list(accumulate(lens, initial=0))
+    phi = list(range(d))
+    forest = [0] * d
+    gens = []
+    for i, (s, n) in enumerate(zip(starts, lens)):
+        for j in range(n):
+            phi[s + j] = s + (j - 1) % n
+            forest[s + j] = s
+        if i:
+            for k in range(1, n):
+                g = list(range(d))
+                ginv = list(range(d))
+                for j in range(n):
+                    g[s + j] = s + (j + k) % n
+                    ginv[s + j] = s + (j - k) % n
+                gens.append((tuple(g), tuple(ginv)))
+            if lens[i - 1] == n:
+                g = list(range(d))
+                p = starts[i - 1]
+                for j in range(n):
+                    g[p + j], g[s + j] = s + j, p + j
+                gens.append((tuple(g), tuple(g)))
+    return tuple(phi), tuple(forest), len(lens), tuple(gens)
+
+
 def scan_involutions_block(
     d: int,
     first: int,
-    phi: Sequence[int],
+    lens: Sequence[int],
     target: Sequence[int],
-    rot: int,
 ) -> list[tuple[int, ...]]:
-    """Surviving rotation-canonical involutions ``v`` with ``v(0) = first``.
+    """Surviving canonical involutions ``v`` with ``v(0) = first``.
 
     A fixed-point-free involution ``v`` of degree ``d`` survives iff
 
@@ -62,38 +108,30 @@ def scan_involutions_block(
     * the union of the cycles of ``phi`` with the pairs of ``v`` is a single
       class, so the generated group is transitive,
 
-    and it is canonical under rotation of ``0..rot-1`` (see the module
-    docstring).
+    where ``phi`` is the inverse of ``class_representative(lens)``; it is
+    kept when it also passes tests (a) and (b) of the module docstring.
 
     Splitting the stream by the partner of point 0 gives ``d - 1`` disjoint
-    blocks; scanning each block for every ``first`` recovers the whole
-    involution stream.  ``phi`` must be a permutation of ``0..d-1`` and
+    blocks; scanning each block for every ``first`` recovers every kept
+    involution.  ``lens`` must be parts in ``1..d`` that sum to ``d``, and
     ``target`` at most ``d`` parts in ``1..d``.
     """
     if d <= 0 or d % 2:
         raise ValueError(f"degree must be even and positive, got {d}")
     if not 1 <= first < d:
         raise ValueError(f"first partner {first} out of range")
-    if not 1 <= rot <= d:
-        raise ValueError(f"rotated cycle length {rot} out of range")
-    if sorted(phi) != list(range(d)):
-        raise ValueError(f"phi is not a permutation of 0..{d - 1}")
+    lens = tuple(lens)
+    if not lens or not all(1 <= n <= d for n in lens) or sum(lens) != d:
+        raise ValueError(f"anchor cycle lengths {lens} are not parts in 1..{d} summing to {d}")
     target = tuple(target)
     ntgt = len(target)
     if ntgt > d or not all(1 <= n <= d for n in target):
         raise ValueError(f"target {target} is not a list of at most {d} parts in 1..{d}")
+    rot = lens[0]
     lab0 = first if first < rot else rot + first
     if first < rot and rot - first < lab0:
         return []
-    # The cycles of phi as a forest: every point of the cycle first reached
-    # from x points to x.
-    forest = [-1] * d
-    for x in range(d):
-        y = x
-        while forest[y] < 0:
-            forest[y] = x
-            y = phi[y]
-    nroots = sum(1 for x in range(d) if forest[x] == x)
+    phi, forest, nroots, gens = _anchor(lens)
     v = [-1] * d
     survivors: list[tuple[int, ...]] = []
     t = [0] * d
@@ -179,7 +217,31 @@ def scan_involutions_block(
                 comp -= 1
         return comp == 1
 
-    def rec(free: list[int]) -> None:
+    def undecided(active: list[tuple[Perm, Perm, int]]) -> list[tuple[Perm, Perm, int]] | None:
+        """Test (b) on the pairs placed so far, or None when it cuts.
+
+        An entry (g, g^-1, y) of active says that ``w = conjugate(v, g)``
+        equals ``v`` on the positions before y.  ``w[y] = g[v[g^-1[y]]]``,
+        so a position is fixed on both sides when ``v[y]`` and
+        ``v[g^-1[y]]`` are placed.  The result keeps the entries whose
+        comparison still waits on an unplaced point, each with the position
+        it reached; an entry is dropped once w is larger, or equal to v."""
+        out = []
+        for g, ginv, y in active:
+            while y < d:
+                vy = v[y]
+                if vy < 0 or (vx := v[ginv[y]]) < 0:
+                    out.append((g, ginv, y))
+                    break
+                wy = g[vx]
+                if wy != vy:
+                    if wy < vy:
+                        return None
+                    break
+                y += 1
+        return out
+
+    def rec(free: list[int], active: list[tuple[Perm, Perm, int]]) -> None:
         if not free:
             if check():
                 survivors.append(tuple(v))
@@ -200,7 +262,10 @@ def scan_involutions_block(
             if link(b, pa):
                 v[a] = b
                 v[b] = a
-                rec(free[1:i] + free[i + 1 :])
+                rest = undecided(active) if active else active
+                if rest is not None:
+                    rec(free[1:i] + free[i + 1 :], rest)
+                v[b] = -1
                 unlink(b, pa)
             unlink(a, pb)
         v[a] = -1
@@ -208,5 +273,7 @@ def scan_involutions_block(
     if link(0, phi[first]) and link(first, phi[0]):
         v[0] = first
         v[first] = 0
-        rec([x for x in range(1, d) if x != first])
+        active = undecided([(g, ginv, 0) for g, ginv in gens])
+        if active is not None:
+            rec([x for x in range(1, d) if x != first], active)
     return survivors

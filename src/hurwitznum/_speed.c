@@ -1,27 +1,38 @@
 /* Compiled twin of `_purekernels.scan_involutions_block`.
 
-   scan_involutions_block(d, first, phi, target, rot) walks every
+   scan_involutions_block(d, first, lens, target) walks every
    fixed-point-free involution v of {0..d-1} with v(0) = first, forms the
    composite t[x] = phi[v[x]] (v o phi is conjugate to it, so has the same
    cycle type) and keeps v when t has the target cycle type and the pairs of
    v join the anchor's point classes into one, so that the generated group
-   is transitive.  phi is the inverse of the anchor, so those classes are
-   the cycles of phi; they are found once per call.  It keeps only the v
-   that are canonical under rotation of the anchor's cycle 0..rot-1: for
-   x < rot, label(x) = (v[x] - x) mod rot when v[x] < rot, else rot + v[x],
-   and v is kept when no label is below label(0).  Rotating that cycle fixes
-   the anchor and rotates the labels, so every rotation orbit of survivors
-   keeps a member; rot = 1 keeps all.  The pairs at 0..rot-1 are placed
-   first, so a violated label cuts its whole subtree.  The walk also tracks
-   the cycles and open paths of the partial t: placing the pair (a, b) adds
-   the edges a -> phi[b] and b -> phi[a], and the subtree is cut when an
-   edge closes a cycle whose length is no longer left among the target's
-   parts, or makes an open path longer than the largest part.  Backtracking
-   undoes the edges.  Only non-survivors are cut, so the survivors and their
-   order match the full walk; survives() still checks each leaf in full.
-   phi must be a permutation.  The walk runs with the interpreter lock
-   released, so blocks scanned on several threads run in parallel.  Build it
-   next to the Python sources with `python3 setup.py build_ext --inplace`.
+   is transitive.  The anchor is r = class_representative(lens): its cycle i
+   lies on s_i .. s_i + l_i - 1 as x -> x + 1.  phi, the inverse of r, is
+   derived from lens, and the anchor's point classes are the cycles of phi.
+
+   Of the survivors it keeps only those that pass two tests; the least
+   member of every orbit of the anchor's centralizer passes both.  (a) For
+   x < l_0, label(x) = (v[x] - x) mod l_0 when v[x] < l_0, else l_0 + v[x],
+   and no label is below label(0): this compares position 0 of v with that
+   of each rotation of cycle 0 applied to v.  The pairs at 0..l_0-1 are
+   placed first, so a violated label cuts its whole subtree.  (b) For every
+   g in S, the conjugate g v g^-1 is not lexicographically smaller than v.
+   S holds every power of the rotation of each cycle i >= 1 and the
+   pointwise swap of each pair of adjacent equal-length cycles, fixed points
+   and cycles 0 and 1 included; S is built once per call and is empty for a
+   one-cycle anchor.  (b) runs as each pair is placed and cuts only when a
+   conjugate is already strictly smaller on positions that both sides have
+   fixed, so at the last pair it is the full comparison.
+
+   The walk also tracks the cycles and open paths of the partial t: placing
+   the pair (a, b) adds the edges a -> phi[b] and b -> phi[a], and the
+   subtree is cut when an edge closes a cycle whose length is no longer left
+   among the target's parts, or makes an open path longer than the largest
+   part.  Backtracking undoes the edges.  These cuts drop only
+   non-survivors, so the survivors and their order match the pure twin's;
+   survives() still checks each leaf in full.  The walk runs with the
+   interpreter lock released, so blocks scanned on several threads run in
+   parallel.  Build it next to the Python sources with
+   `python3 setup.py build_ext --inplace`.
 
    API must equal `_purekernels.API`; `kernels` ignores a build whose API
    differs, so bump both whenever the signature or the semantics change.
@@ -31,11 +42,13 @@
 #include <Python.h> /* also includes stdlib.h and string.h */
 
 #define MAXD 32
-#define API 4
+#define API 5
 
 typedef struct {
-    int d, nroots, ntarget, rot, label0, largest;
+    int d, nroots, ntarget, rot, label0, largest, ngens;
     int phi[MAXD], target[MAXD], parent[MAXD]; /* parent: cycles of phi */
+    /* S as pairs g, ginv; it has at most d - l_0 members. */
+    int g[MAXD][MAXD], ginv[MAXD][MAXD];
     /* The edges of t placed so far form cycles and open paths; a point not
        yet reached is a path of one point.  A path runs from start[e] to e
        and from a to end[a], and has size[a] points.  left[n] counts the
@@ -150,11 +163,43 @@ static void remove_edge(Scan *s, int x, int y)
     }
 }
 
+/* Test (b) on the pairs placed so far.  Entry k of act is the index of a
+   g in S whose conjugate w = g v g^-1 equals v before position pos[k];
+   w[y] = g[v[ginv[y]]], so a position is fixed on both sides once v[y] and
+   v[ginv[y]] are placed (an unplaced point has v = -1).  Copies to act2 and
+   pos2 the entries whose comparison still waits on an unplaced point, each
+   with the position it reached, and returns their number, or -1 when a
+   conjugate is smaller.  An entry is dropped once w is larger, or equal. */
+static int undecided(const Scan *s, const int *v, const int *act, const int *pos, int nact,
+                     int *act2, int *pos2)
+{
+    int n = 0;
+    for (int k = 0; k < nact; k++) {
+        const int *g = s->g[act[k]], *ginv = s->ginv[act[k]];
+        for (int y = pos[k]; y < s->d; y++) {
+            int vy = v[y], vx;
+            if (vy < 0 || (vx = v[ginv[y]]) < 0) {
+                act2[n] = act[k];
+                pos2[n++] = y;
+                break;
+            }
+            if (g[vx] != vy) {
+                if (g[vx] < vy)
+                    return -1;
+                break;
+            }
+        }
+    }
+    return n;
+}
+
 /* Pairs the smallest unpaired point with each later unpaired point in turn,
    in the pure twin's order, skipping pairs that give a point of 0..rot-1 a
-   label below label(0) and pairs whose edges of t add_edge refuses.  Returns
-   0 when the survivor buffer cannot grow. */
-static int walk(Scan *s, int *v, int *used, int npaired)
+   label below label(0), pairs whose edges of t add_edge refuses and pairs
+   that test (b) cuts; act, pos and nact are test (b)'s state, as in
+   undecided().  Returns 0 when the survivor buffer cannot grow. */
+static int walk(Scan *s, int *v, int *used, int npaired, const int *act, const int *pos,
+                int nact)
 {
     if (npaired == s->d)
         return !survives(s, v) || keep(s, v);
@@ -173,18 +218,62 @@ static int walk(Scan *s, int *v, int *used, int npaired)
         if (!add_edge(s, a, pb))
             continue;
         if (add_edge(s, b, pa)) {
+            int act2[MAXD], pos2[MAXD], nact2 = 0;
             used[b] = 1;
             v[a] = b;
             v[b] = a;
-            if (!walk(s, v, used, npaired + 2))
+            if (nact)
+                nact2 = undecided(s, v, act, pos, nact, act2, pos2);
+            if (nact2 >= 0 && !walk(s, v, used, npaired + 2, act2, pos2, nact2))
                 return 0;
             used[b] = 0;
+            v[b] = -1;
             remove_edge(s, b, pa);
         }
         remove_edge(s, a, pb);
     }
     used[a] = 0;
+    v[a] = -1;
     return 1;
+}
+
+/* Appends the identity to S and returns its index. */
+static int add_generator(Scan *s)
+{
+    int m = s->ngens++;
+    for (int x = 0; x < s->d; x++)
+        s->g[m][x] = s->ginv[m][x] = x;
+    return m;
+}
+
+/* Derives phi, the cycles of phi and S from the anchor's cycle lengths,
+   which are in 1..d and sum to d.  Cycle i starts at point c. */
+static void set_anchor(Scan *s, const int *lens, int nlens)
+{
+    s->nroots = nlens;
+    for (int i = 0, c = 0; i < nlens; c += lens[i++]) {
+        int n = lens[i];
+        for (int j = 0; j < n; j++) {
+            s->phi[c + j] = c + (j + n - 1) % n;
+            s->parent[c + j] = c;
+        }
+        if (i == 0)
+            continue;
+        for (int k = 1; k < n; k++) { /* the powers of the rotation of cycle i */
+            int m = add_generator(s);
+            for (int j = 0; j < n; j++) {
+                s->g[m][c + j] = c + (j + k) % n;
+                s->ginv[m][c + j] = c + (j + n - k) % n;
+            }
+        }
+        if (lens[i - 1] == n) { /* the swap of cycles i - 1 and i */
+            int m = add_generator(s), p = c - n;
+            for (int j = 0; j < n; j++) {
+                s->g[m][p + j] = s->ginv[m][p + j] = c + j;
+                s->g[m][c + j] = s->ginv[m][c + j] = p + j;
+            }
+        }
+    }
 }
 
 /* Copies the integer entries of the sequence obj, each in lo..hi, into out.
@@ -193,7 +282,7 @@ static int walk(Scan *s, int *v, int *used, int npaired)
 static int read_ints(PyObject *obj, const char *name, int *out, int d, int exact,
                      long lo, long hi)
 {
-    PyObject *seq = PySequence_Fast(obj, "phi and target must be sequences");
+    PyObject *seq = PySequence_Fast(obj, "lens and target must be sequences");
     if (seq == NULL)
         return -1;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
@@ -241,13 +330,14 @@ fail:
 
 static PyObject *scan_involutions_block(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"d", "first", "phi", "target", "rot", NULL};
+    static char *kwlist[] = {"d", "first", "lens", "target", NULL};
     Scan s = {0};
-    int first, ok, v[MAXD], used[MAXD] = {0}, hit[MAXD] = {0};
-    PyObject *phi, *target, *result;
+    int first, ok, nlens, sum = 0, v[MAXD], used[MAXD] = {0}, lens[MAXD];
+    int act[MAXD], pos[MAXD] = {0}, act2[MAXD], pos2[MAXD], nact2 = 0;
+    PyObject *lensobj, *target, *result;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOOi:scan_involutions_block", kwlist,
-                                     &s.d, &first, &phi, &target, &s.rot))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOO:scan_involutions_block", kwlist,
+                                     &s.d, &first, &lensobj, &target))
         return NULL;
     if (s.d < 2 || s.d > MAXD || s.d % 2)
         return PyErr_Format(PyExc_ValueError, "degree must be even and at most %d, got %d",
@@ -255,26 +345,19 @@ static PyObject *scan_involutions_block(PyObject *self, PyObject *args, PyObject
     if (first < 1 || first >= s.d)
         return PyErr_Format(PyExc_ValueError, "first partner must be in 1..%d, got %d",
                             s.d - 1, first);
-    if (s.rot < 1 || s.rot > s.d)
-        return PyErr_Format(PyExc_ValueError, "rotated cycle length must be in 1..%d, got %d",
-                            s.d, s.rot);
-    if (read_ints(phi, "phi", s.phi, s.d, 1, 0, s.d - 1) < 0
+    if ((nlens = read_ints(lensobj, "lens", lens, s.d, 0, 1, s.d)) < 0
         || (s.ntarget = read_ints(target, "target", s.target, s.d, 0, 1, s.d)) < 0)
         return NULL;
-    for (int x = 0; x < s.d; x++)
-        if (hit[s.phi[x]]++)
-            return PyErr_Format(PyExc_ValueError, "phi is not a permutation of 0..%d",
-                                s.d - 1);
-    /* Every point of the cycle of phi first reached from x points to x. */
-    memset(s.parent, -1, sizeof s.parent);
-    for (int x = 0; x < s.d; x++) {
-        s.nroots += s.parent[x] < 0;
-        for (int y = x; s.parent[y] < 0; y = s.phi[y])
-            s.parent[y] = x;
-    }
+    for (int i = 0; i < nlens; i++)
+        sum += lens[i];
+    if (nlens == 0 || sum != s.d)
+        return PyErr_Format(PyExc_ValueError, "anchor cycle lengths sum to %d, not %d", sum,
+                            s.d);
+    set_anchor(&s, lens, nlens);
     for (int x = 0; x < s.d; x++) {
         s.start[x] = s.end[x] = x;
         s.size[x] = 1;
+        v[x] = -1;
     }
     for (int i = 0; i < s.ntarget; i++) {
         s.left[s.target[i]]++;
@@ -282,6 +365,7 @@ static PyObject *scan_involutions_block(PyObject *self, PyObject *args, PyObject
             s.largest = s.target[i];
     }
 
+    s.rot = lens[0];
     s.label0 = label(s.rot, 0, first);
     if (first < s.rot && label(s.rot, first, 0) < s.label0)
         return PyList_New(0);
@@ -290,8 +374,14 @@ static PyObject *scan_involutions_block(PyObject *self, PyObject *args, PyObject
     v[0] = first;
     v[first] = 0;
     used[0] = used[first] = 1;
+    for (int k = 0; k < s.ngens; k++)
+        act[k] = k;
+    if (s.ngens)
+        nact2 = undecided(&s, v, act, pos, s.ngens, act2, pos2);
+    if (nact2 < 0)
+        return PyList_New(0);
     Py_BEGIN_ALLOW_THREADS
-    ok = walk(&s, v, used, 2);
+    ok = walk(&s, v, used, 2, act2, pos2, nact2);
     Py_END_ALLOW_THREADS
     result = ok ? survivor_list(&s)
                 : PyErr_Format(PyExc_MemoryError, "survivor buffer allocation failed");
@@ -307,7 +397,7 @@ static PyObject *backend(PyObject *self, PyObject *unused)
 static PyMethodDef methods[] = {
     {"scan_involutions_block", (PyCFunction)(void (*)(void))scan_involutions_block,
      METH_VARARGS | METH_KEYWORDS,
-     "Rotation-canonical survivors among involutions pairing 0 with first; see the pure twin."},
+     "Canonical survivors among involutions pairing 0 with first; see the pure twin."},
     {"backend", backend, METH_NOARGS, "Identify this implementation."},
     {NULL, NULL, 0, NULL},
 };

@@ -14,14 +14,18 @@ from the product relation, and merges survivors by a canonical form of the
 triple.  When the streamed class consists of fixed-point-free involutions
 the scan runs through the kernel backend and is split into disjoint blocks
 that can be processed by a thread pool.  The kernel takes
-``(d, first, phi, target, rot)``: ``phi`` is the inverse of the anchor, and
-its cycles, the anchor's point classes, decide transitivity; ``target`` is
-the forced slot's cycle type and ``rot`` the length of the anchor's cycle
-through point 0.  The kernel keeps only involutions that are canonical under
-rotation of that cycle, so its survivors meet every conjugation orbit but
-are not closed under the anchor's centralizer; it cuts a partial involution
-as soon as the forced permutation's closed cycles or open paths rule out
-``target``.  Two triples are conjugate exactly when their forms are equal,
+``(d, first, lens, target)``: the anchor is ``class_representative(lens)``,
+with ``lens`` the anchor slot's partition, and the kernel derives the
+anchor's point classes, which decide transitivity, from ``lens``; ``target``
+is the forced slot's cycle type.  Conjugating by the anchor's centralizer
+maps survivors to survivors, and the kernel keeps only those that no
+rotation of a later anchor cycle or swap of adjacent equal-length cycles
+makes lexicographically smaller, and that pass a label rule for the
+rotations of the first cycle.  The least member of every centralizer orbit
+passes, so the survivors meet every conjugation orbit; an orbit may still
+keep more than one.  The kernel also cuts a partial involution as soon as
+the forced permutation's closed cycles or open paths rule out ``target``.
+Two triples are conjugate exactly when their forms are equal,
 so the merge keeps one survivor per form, the least, and neither the
 representatives nor the counts depend on the thread count.  The form
 relabels the triple only from the points of its rarest class of (``s1``-
@@ -148,7 +152,7 @@ def _choose_slots(datum: BranchDatum, anchor: int | None = None) -> tuple[int, i
     largest class (the smallest centralizer, since their orders multiply to
     d!) and then the slot index; the streamed slot is the
     cheapest remaining class.  The counts do not depend on the anchor, but
-    the tie-break fixes it, and with it ``rot`` and the kernel's work, for
+    the tie-break fixes it, and with it the kernel's anchor and work, for
     data whose slots tie on streaming cost.
     """
     sizes = [P.class_size(pi) for pi in datum.partitions]
@@ -244,15 +248,13 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
     if d % 2 == 0 and tau_s == (2,) * (d // 2) and d >= 2:
         # Fast path: stream the fixed-point-free involutions through the
         # kernel, split into blocks by the partner of point 0.
-        phi = P.inverse(r)
+        # The kernel derives r from its cycle lengths, so it prunes under
+        # the centralizer of exactly this r.
+        lens = datum.partitions[anchor]
         blocks = list(range(1, d))
-        # class_representative puts the first (largest) part on 0..c-1 as
-        # x -> x + 1, so rotating that cycle commutes with r: the kernel
-        # prunes by that rotation.
-        rot = datum.partitions[anchor][0]
 
         def run_block(first: int) -> list[P.Perm]:
-            return kernels.scan_involutions_block(d, first, phi, tau_f, rot)
+            return kernels.scan_involutions_block(d, first, lens, tau_f)
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:

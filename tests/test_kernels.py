@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -26,38 +27,108 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _cases(d, rng):
-    """Anchored-scan configurations (phi, target, c) of even degree d, with c
-    the length of the anchor's cycle through 0: the d-cycle, which the oracle
-    prunes most, against every target, then six random anchors and targets."""
-    phi = P.inverse(P.class_representative((d,)))
+    """Anchored-scan configurations (lens, target) of even degree d, with lens
+    the anchor's cycle lengths: the d-cycle against every target, then six
+    random anchors and targets."""
     for target in B.partitions_of(d):
-        yield phi, tuple(target), d
+        yield (d,), tuple(target)
     for _ in range(6):
-        parts = tuple(rng.choice(B.partitions_of(d)))
-        target = tuple(rng.choice(B.partitions_of(d)))
-        yield P.inverse(P.class_representative(parts)), target, parts[0]
+        yield tuple(rng.choice(B.partitions_of(d))), tuple(rng.choice(B.partitions_of(d)))
 
 
 def _assert_agrees_with_pure(impl, d, rng):
     """impl returns the pure twin's survivors, in the same order, on every
-    block of every case, with rot = 1 and rot = c."""
-    for phi, target, c in _cases(d, rng):
+    block of every case."""
+    for lens, target in _cases(d, rng):
         for first in range(1, d):
-            for rot in (1, c):
-                args = (d, first, phi, target, rot)
-                assert impl.scan_involutions_block(*args) == (
-                    _purekernels.scan_involutions_block(*args)
-                ), args
+            args = (d, first, lens, target)
+            assert impl.scan_involutions_block(*args) == (
+                _purekernels.scan_involutions_block(*args)
+            ), args
 
 
-def _rotations(v, c):
-    """The conjugates of v by the powers of the rotation (0 1 ... c-1)."""
-    rho = P.class_representative((c,) + (1,) * (len(v) - c))
-    out, g = [], P.identity(len(v))
-    for _ in range(c):
-        out.append(P.conjugate(v, g))
+def _cycles(lens):
+    """The cycles of class_representative(lens), as point ranges."""
+    starts = list(accumulate(lens, initial=0))
+    return [range(starts[i], starts[i + 1]) for i in range(len(lens))]
+
+
+def _rotation_powers(d, cycle):
+    """Every power of the rotation of cycle, the identity included."""
+    rho = P.from_cycles(d, [cycle])
+    out, g = [], P.identity(d)
+    for _ in cycle:
+        out.append(g)
         g = P.compose(rho, g)
     return out
+
+
+def _adjacent_swaps(lens):
+    """The pointwise swaps of adjacent equal-length cycles."""
+    d, cycles = sum(lens), _cycles(lens)
+    return [
+        P.from_cycles(d, list(zip(cycles[i - 1], cycles[i])))
+        for i in range(1, len(lens))
+        if lens[i - 1] == lens[i]
+    ]
+
+
+def _canonical(v, lens):
+    """The kept involutions: (a) the cycle-0 label rule, and (b) no conjugate
+    by a power of the rotation of a cycle i >= 1, or by an adjacent
+    equal-length swap, is lexicographically smaller than v."""
+    c = lens[0]
+
+    def label(x):
+        return (v[x] - x) % c if v[x] < c else c + v[x]
+
+    if not all(label(0) <= label(x) for x in range(c)):
+        return False
+    d = len(v)
+    group = _adjacent_swaps(lens)
+    for cycle in _cycles(lens)[1:]:
+        group += _rotation_powers(d, cycle)
+    return all(P.conjugate(v, g) >= v for g in group)
+
+
+def _centralizer_orbit(v, lens):
+    """The orbit of v under conjugation by the closure of the rotations of
+    every cycle and the adjacent equal-length swaps."""
+    d = len(v)
+    gens = _adjacent_swaps(lens) + [
+        P.from_cycles(d, [cycle]) for cycle in _cycles(lens) if len(cycle) > 1
+    ]
+    orbit, todo = {v}, [v]
+    for w in todo:  # todo grows as the walk reaches new conjugates
+        for g in gens:
+            u = P.conjugate(w, g)
+            if u not in orbit:
+                orbit.add(u)
+                todo.append(u)
+    return orbit
+
+
+def _brute_stream(lens):
+    """Every involution v that makes a transitive pair with
+    class_representative(lens), by the cycle type of v∘phi."""
+    d = sum(lens)
+    r = P.class_representative(lens)
+    phi = P.inverse(r)
+    by_type = {}
+    for v in P.class_stream((2,) * (d // 2)):
+        if P.is_transitive([r, v], d):
+            by_type.setdefault(P.cycle_type(P.compose(v, phi)), []).append(v)
+    return by_type
+
+
+def _blocks(impl, lens, target):
+    d = sum(lens)
+    return [v for first in range(1, d) for v in impl.scan_involutions_block(d, first, lens, target)]
+
+
+# Anchors with equal-length cycles and fixed points, which test (b)'s swaps
+# and rotations of the later cycles act on.
+EQUAL_CYCLE_ANCHORS = [(2, 2, 2, 2), (3, 3, 2), (2, 2, 1, 1), (4, 4, 2), (2, 2, 2, 1, 1)]
 
 
 @needs_speed
@@ -68,33 +139,38 @@ def test_backends_agree_on_random_blocks(d):
 
 @pytest.mark.parametrize("d", [4, 6, 8, 10])
 def test_rotation_keeps_a_member_of_every_orbit(d):
+    # Every survivor's orbit under the anchor's centralizer meets the kept
+    # set, so no strong class is lost.
     rng = random.Random(d * 31)
-    for trial, (phi, target, c) in enumerate(_cases(d, rng)):
-        def scan(rot):
-            return {
-                v
-                for first in range(1, d)
-                for v in _purekernels.scan_involutions_block(d, first, phi, target, rot)
-            }
-
-        every, kept = scan(1), scan(c)
-        assert kept <= every
+    cases = list(_cases(d, rng)) + [
+        (lens, tuple(target))
+        for lens in EQUAL_CYCLE_ANCHORS
+        if sum(lens) == d
+        for target in B.partitions_of(d)
+    ]
+    streams = {}
+    for trial, (lens, target) in enumerate(cases):
+        if lens not in streams:
+            streams[lens] = _brute_stream(lens)
+        every = streams[lens].get(target, [])
+        kept = set(_blocks(_purekernels, lens, target))
+        assert kept <= set(every)
         for v in every:
-            assert not kept.isdisjoint(_rotations(v, c)), (d, trial, v)
+            assert not kept.isdisjoint(_centralizer_orbit(v, lens)), (d, trial, lens, v)
 
 
 def test_rotation_prunes_blocks_whose_partner_label_is_smaller():
-    # With rot = c and first < c, point first gets label c - first, below
-    # label(0) = first when c - first < first, so the whole block goes.
+    # With lens = (c,) and first < c, point first gets label c - first,
+    # below label(0) = first when c - first < first, so the whole block goes.
     d = 8
-    r = P.class_representative((d,))
-    args = (P.inverse(r), (5, 2, 1))
+    lens, target = (d,), (5, 2, 1)
+    stream = _brute_stream(lens)[target]
     for impl in (_purekernels, _speed):
         if impl is None:
             continue
         for first in (5, 6, 7):
-            assert impl.scan_involutions_block(d, first, *args, 1)
-            assert impl.scan_involutions_block(d, first, *args, d) == []
+            assert any(v[0] == first for v in stream)
+            assert impl.scan_involutions_block(d, first, lens, target) == []
 
 
 @needs_speed
@@ -103,13 +179,11 @@ def test_backends_agree_on_family_blocks():
     # class companions of a reference-table row
     datum = B.make_family_datum(0, 1, 6, (9, 2, 1))
     d = datum.degree
-    phi = P.inverse(P.class_representative(datum.partitions[1]))
     for first in range(1, d):
-        for rot in (1, datum.partitions[1][0]):
-            args = (d, first, phi, datum.partitions[2], rot)
-            assert _speed.scan_involutions_block(*args) == (
-                _purekernels.scan_involutions_block(*args)
-            )
+        args = (d, first, datum.partitions[1], datum.partitions[2])
+        assert _speed.scan_involutions_block(*args) == (
+            _purekernels.scan_involutions_block(*args)
+        )
 
 
 def test_survivors_are_valid_involutions():
@@ -117,56 +191,39 @@ def test_survivors_are_valid_involutions():
     for impl in (_purekernels, _speed):
         if impl is None:
             continue
-        for phi, target, c in _cases(d, random.Random(7)):
-            r = P.inverse(phi)
+        for lens, target in _cases(d, random.Random(7)):
+            r = P.class_representative(lens)
             for first in range(1, d):
-                for v in impl.scan_involutions_block(d, first, phi, target, c):
+                for v in impl.scan_involutions_block(d, first, lens, target):
                     assert v[0] == first
                     assert P.cycle_type(v) == (2,) * (d // 2)
-                    assert P.cycle_type(P.compose(v, phi)) == target
+                    assert P.cycle_type(P.compose(v, P.inverse(r))) == target
                     assert P.is_transitive([r, v], d)
-
-
-def _rotation_canonical(v, c):
-    """The rotation-label rule of the kernel, for the cycle 0..c-1."""
-    def label(x):
-        return (v[x] - x) % c if v[x] < c else c + v[x]
-
-    return all(label(0) <= label(x) for x in range(c))
 
 
 @pytest.mark.parametrize(
     "anchor",
     [(3, 3), (2, 2, 2), (3, 2, 1), (4, 2, 2), (3, 3, 1, 1),
-     (4,), (6,), (8,), (10,), (4, 4), (5, 3), (6, 2), (4, 3, 2, 1), (7, 2, 1)],
+     (4,), (6,), (8,), (10,), (4, 4), (5, 3), (6, 2), (4, 3, 2, 1), (7, 2, 1),
+     *EQUAL_CYCLE_ANCHORS],
     ids=lambda parts: "-".join(map(str, parts)),
 )
 def test_block_union_is_the_full_stream(anchor):
-    # Several anchor cycles: the kernel's point classes, derived from phi,
-    # decide which survivors are transitive.  With rot = c the blocks keep
-    # exactly the rotation-canonical members of the stream; a scan that
-    # prunes a survivor, or keeps a non-survivor, fails here.
-    d = sum(anchor)
-    c = anchor[0]
-    r = P.class_representative(anchor)
-    phi = P.inverse(r)
-    by_type = {}
-    for v in P.class_stream((2,) * (d // 2)):
-        if P.is_transitive([r, v], d):
-            by_type.setdefault(P.cycle_type(P.compose(v, phi)), []).append(v)
-    for target in B.partitions_of(d):
-        for rot in (1, c):
-            brute = sorted(v for v in by_type.get(target, []) if _rotation_canonical(v, rot))
-            for impl in (_purekernels, _speed):
-                if impl is None:
-                    continue
-                blocks = [
-                    v
-                    for first in range(1, d)
-                    for v in impl.scan_involutions_block(d, first, phi, target, rot)
-                ]
-                assert len(set(blocks)) == len(blocks)
-                assert sorted(blocks) == brute, (impl.backend(), target, rot)
+    # Several anchor cycles: the kernel's point classes, derived from lens,
+    # decide which survivors are transitive.  The blocks keep exactly the
+    # members of the stream that pass tests (a) and (b), built here from
+    # lens alone; a scan that prunes a kept survivor, or keeps another
+    # involution, fails here.
+    by_type = _brute_stream(anchor)
+    for target in B.partitions_of(sum(anchor)):
+        target = tuple(target)
+        brute = sorted(v for v in by_type.get(target, []) if _canonical(v, anchor))
+        for impl in (_purekernels, _speed):
+            if impl is None:
+                continue
+            blocks = _blocks(impl, anchor, target)
+            assert len(set(blocks)) == len(blocks)
+            assert sorted(blocks) == brute, (impl.backend(), target)
 
 
 def test_kernel_input_validation():
@@ -174,18 +231,16 @@ def test_kernel_input_validation():
         if impl is None:
             continue
         with pytest.raises(ValueError):
-            impl.scan_involutions_block(5, 1, (0, 1, 2, 3, 4), (5,), 1)
+            impl.scan_involutions_block(5, 1, (5,), (5,))
         with pytest.raises(ValueError):
-            impl.scan_involutions_block(4, 0, (0, 1, 2, 3), (2, 2), 1)
-        for rot in (0, 5):
+            impl.scan_involutions_block(4, 0, (4,), (2, 2))
+        # empty, a part outside 1..d, or not summing to d
+        for lens in ((), (5,), (0, 4), (4, 0), (3,), (2, 1), (2, 2, 1), (1,) * 5):
             with pytest.raises(ValueError):
-                impl.scan_involutions_block(4, 1, (0, 1, 2, 3), (2, 2), rot)
+                impl.scan_involutions_block(4, 1, lens, (2, 2))
         for target in ((5,), (0, 4), (1,) * 5):
             with pytest.raises(ValueError):
-                impl.scan_involutions_block(4, 1, (0, 1, 2, 3), target, 1)
-        for phi in ((0, 1, 2, 2), (1, 2, 3, 4), (0, 1, 2)):
-            with pytest.raises(ValueError):
-                impl.scan_involutions_block(4, 1, phi, (2, 2), 1)
+                impl.scan_involutions_block(4, 1, (4,), target)
 
 
 def test_backend_names():
