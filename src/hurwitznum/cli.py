@@ -126,7 +126,6 @@ def build_parser() -> _Parser:
         )
 
     def add_oracle_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--threads", type=int, default=1, help="oracle thread count")
         p.add_argument(
             "--convention",
             choices=sorted(CONVENTIONS_BY_NAME),
@@ -161,6 +160,7 @@ def build_parser() -> _Parser:
         help="which computation path(s) to run",
     )
     add_oracle_flags(p_count)
+    p_count.add_argument("--threads", type=int, default=1, help="upper bound on oracle threads")
 
     p_table = sub.add_parser("table", help="print the k=8 genus-0 reference table")
     p_table.set_defaults(run=cmd_table)
@@ -232,6 +232,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _compute_count(args: argparse.Namespace) -> CountResult:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     datum, pi = _datum_from_args(args)
     conv = CONVENTIONS_BY_NAME[args.convention]
     started = time.perf_counter()
@@ -394,7 +396,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_INFEASIBLE
     conv = CONVENTIONS_BY_NAME[args.convention]
     label = conv.label()
-    path = args.cache or os.environ.get(CACHE_ENV)
+    path = args.cache or os.environ.get(CACHE_ENV) or None
     cache: dict[tuple[BranchDatum, str], int] = {}
     if path is not None:
         try:
@@ -434,7 +436,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 ):
                     reused += 1
                 else:
-                    nu = O.weak_hurwitz(datum, conv, threads=args.threads, degree_bound=args.max_d)
+                    nu = O.weak_hurwitz(datum, conv, degree_bound=args.max_d)
                     computed += 1
                     # A recount that only confirms the cached line adds none,
                     # so neither a real discrepancy nor --force grows the file
@@ -511,9 +513,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        threads = getattr(args, "threads", 1)
-        if threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {threads}")
         return args.run(args)
     except O.InfeasibleDegreeError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

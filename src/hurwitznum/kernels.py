@@ -1,4 +1,4 @@
-"""Backend selection for the involution scan kernel.
+"""Backend selection for the involution scan kernel, and its thread policy.
 
 Prefers the compiled extension `_speed` when it is importable and its `API`
 matches the pure Python twin `_purekernels`, falling back to the twin
@@ -40,3 +40,20 @@ scan_involutions_block = _impl.scan_involutions_block
 def backend() -> str:
     """Name of the active kernel backend: 'compiled' or 'pure'."""
     return _impl.backend()
+
+
+def scan_involutions(
+    d: int, lens: tuple[int, ...], target: tuple[int, ...], threads: int = 1
+) -> list[tuple[int, ...]]:
+    """`scan_involutions_block` for ``first = 1 .. d-1``, concatenated.  Only the
+    compiled twin releases the interpreter lock, so only it uses up to ``threads`` threads."""
+
+    def block(first: int) -> list[tuple[int, ...]]:
+        return scan_involutions_block(d, first, lens, target)
+
+    if threads > 1 and _impl is not _purekernels:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return [v for vs in pool.map(block, range(1, d)) for v in vs]
+    return [v for first in range(1, d) for v in block(first)]

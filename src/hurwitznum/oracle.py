@@ -12,8 +12,8 @@ The enumeration anchors the slot whose conjugacy class is most expensive to
 scan, streams the cheapest remaining class, forces the third permutation
 from the product relation, and merges survivors by a canonical form of the
 triple.  When the streamed class consists of fixed-point-free involutions
-the scan runs through the kernel backend and is split into disjoint blocks
-that can be processed by a thread pool.  The kernel takes
+the scan runs through ``kernels.scan_involutions``, which owns its split
+into disjoint blocks and its thread policy.  The kernel takes
 ``(d, first, lens, target)``: the anchor is ``class_representative(lens)``,
 with ``lens`` the anchor slot's partition, and the kernel derives the
 anchor's point classes, which decide transitivity, from ``lens``; ``target``
@@ -35,7 +35,6 @@ cycle length, ``s2``-cycle length), a class that conjugation preserves.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, compress
@@ -235,9 +234,8 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
     anchor, stream, forced = _choose_slots(datum, anchor)
     tau_s = datum.partitions[stream]
     tau_f = datum.partitions[forced]
-    r = P.class_representative(datum.partitions[anchor])
-
-    survivors: set[Triple] = set()
+    lens = datum.partitions[anchor]
+    r = P.class_representative(lens)
 
     def completed(v: P.Perm) -> Triple:
         t = [r, r, r]
@@ -245,26 +243,12 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
         t[forced] = _forced(t, forced)
         return (t[0], t[1], t[2])
 
-    if d % 2 == 0 and tau_s == (2,) * (d // 2) and d >= 2:
-        # Fast path: stream the fixed-point-free involutions through the
-        # kernel, split into blocks by the partner of point 0.
-        # The kernel derives r from its cycle lengths, so it prunes under
+    if tau_s == (2,) * (d // 2):
+        # The kernel derives r from lens, so it prunes the involutions under
         # the centralizer of exactly this r.
-        lens = datum.partitions[anchor]
-        blocks = list(range(1, d))
-
-        def run_block(first: int) -> list[P.Perm]:
-            return kernels.scan_involutions_block(d, first, lens, tau_f)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run_block, blocks))
-        else:
-            results = [run_block(first) for first in blocks]
-        for block in results:
-            for v in block:
-                survivors.add(completed(v))
+        survivors = map(completed, kernels.scan_involutions(d, lens, tau_f, threads))
     else:
+        survivors = []
         id_d = P.identity(d)
         # The forced slot is the inverse of this product, which has the
         # same cycle type, so only survivors are completed.
@@ -279,7 +263,7 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
             if __debug__:
                 t1, t2, t3 = triple
                 assert P.compose(t1, P.compose(t2, t3)) == id_d
-            survivors.add(triple)
+            survivors.append(triple)
 
     least: dict[Form, Triple] = {}
     for t in survivors:

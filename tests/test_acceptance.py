@@ -7,12 +7,9 @@ brute-force oracle, and the oracle agrees with a fully exhaustive
 enumeration on every small datum.
 """
 
-import os
 import time
 from itertools import combinations_with_replacement, permutations
 from pathlib import Path
-
-import pytest
 
 from hurwitznum import branchdata as B
 from hurwitznum import cli
@@ -239,10 +236,6 @@ def test_criterion_09_oracle_self_consistency(capfd):
     )
 
 
-@pytest.mark.skipif(
-    not os.environ.get("HURWITZNUM_STRETCH"),
-    reason="stretch criterion; set HURWITZNUM_STRETCH=1 to run",
-)
 def test_criterion_10_stretch_full_degree16_table(capfd):
     started = time.perf_counter()
     ok = True

@@ -148,11 +148,12 @@ def test_missing_pi_below_window_names_the_window(capsys, argv, message):
         ("count", "--genus", "0", "--h", "1", "--k", "4", "--pi", "6,1,1",
          "--format", "csv"),
         ("sweep", "--max-d", "4", "--format", "csv"),
+        ("sweep", "--max-d", "4", "--threads", "2"),
         ("count", "--genus", "0", "--h", "1", "--k", "4", "--pi", "6,1,1",
          "--convention", "auto"),
     ],
     ids=["check-threads", "check-max-d", "table-convention", "count-csv",
-         "sweep-csv", "count-auto"],
+         "sweep-csv", "sweep-threads", "count-auto"],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -390,6 +391,18 @@ def test_sweep_env_var_cache(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "sweep", "--max-d", "6")
     assert code == 0
     assert cache.exists()
+
+
+@pytest.mark.parametrize("option", [(), ("--cache", "")], ids=["env", "env-and-flag"])
+def test_sweep_empty_cache_env_var_means_no_cache(capsys, tmp_path, monkeypatch, option):
+    # An empty HURWITZ_CACHE, like an empty --cache, runs without a cache.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.CACHE_ENV, "")
+    code, out, err = run(capsys, "sweep", "--max-d", "4", *option)
+    assert code == 0
+    assert "total: 2 data, 0 discrepancies" in out
+    assert err.startswith("elapsed: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_unwritable_cache_is_io_error(capsys, tmp_path):

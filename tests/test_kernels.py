@@ -10,11 +10,13 @@ import sys
 import sysconfig
 from itertools import accumulate
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from hurwitznum import _purekernels, kernels
 from hurwitznum import branchdata as B
+from hurwitznum import oracle as O
 from hurwitznum import perm as P
 
 try:
@@ -248,6 +250,59 @@ def test_backend_names():
     assert kernels.backend() in ("pure", "compiled")
     if _speed is not None:
         assert _speed.backend() == "compiled"
+
+
+def test_pool_returns_the_inline_list(monkeypatch):
+    # A stand-in for a live compiled twin that delegates to the pure one
+    # forces the pool branch without a built extension.
+    import concurrent.futures
+
+    pools = []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(backend=lambda: "compiled"))
+    monkeypatch.setattr(kernels, "scan_involutions_block", _purekernels.scan_involutions_block)
+    for d in (2, 4, 6, 8, 10):
+        for lens, target in _cases(d, random.Random(d * 131)):
+            inline = kernels.scan_involutions(d, lens, target, 1)
+            assert inline == _blocks(_purekernels, lens, target)
+            for threads in (2, 8):
+                assert kernels.scan_involutions(d, lens, target, threads) == inline
+    assert pools and set(pools) == {2, 8}
+
+
+def test_pure_twin_never_opens_a_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the pure twin opened a thread pool")
+
+    datum = B.make_family_datum(2, 3, 6, (12,))
+    monkeypatch.setattr(kernels, "_impl", _purekernels)
+    monkeypatch.setattr(kernels, "scan_involutions_block", _purekernels.scan_involutions_block)
+    monkeypatch.setattr(O, "_REPS_CACHE", {})
+    serial = O.strong_hurwitz(datum, threads=1)
+    monkeypatch.setattr(O, "_REPS_CACHE", {})
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    assert O.strong_hurwitz(datum, threads=8) == serial > 0
+
+
+def test_importing_the_package_loads_no_thread_pool():
+    code = (
+        "import sys\n"
+        "import hurwitznum, hurwitznum.cli, hurwitznum.formulas, hurwitznum.witnesses\n"
+        "import hurwitznum.kernels\n"
+        "print('concurrent.futures' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_pure_env_forces_fallback():
