@@ -19,9 +19,11 @@ from itertools import count
 Partition = tuple[int, ...]
 
 # The largest half-degree k of a family datum.  The datum holds tuples of
-# about k entries and the witness enumeration grows like k^2 in time and
-# memory (k = 10^3: 0.8 s and 50 MB; k = 10^4: 83 s and 3 GB on a 2-vCPU
-# host), so larger k would only exhaust the machine.
+# about k entries and the genus-1 witness enumeration grows like k^2 in time
+# and memory (k = 10^3: 0.8 s and 44 MB for h = 1, 4.4 s and 176 MB for
+# h = 2; k = 10^4, h = 1: 83 s and 3 GB on a 2-vCPU host), so larger k would
+# only exhaust the machine.  The genus-2 enumeration grows like k^4 and has
+# its own, lower bound, witnesses.MAX_GENUS2_K.
 MAX_K = 1000
 
 

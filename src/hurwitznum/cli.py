@@ -255,6 +255,13 @@ def _compute_count(args: argparse.Namespace) -> CountResult:
                         f"no witness families for (g={args.genus}, h={args.h})"
                     )
                 continue
+            if args.genus == 2 and args.k > W.MAX_GENUS2_K:
+                if args.method != "all":
+                    raise O.InfeasibleDegreeError(
+                        f"genus-2 witnesses are listed up to k = "
+                        f"{W.MAX_GENUS2_K} (witnesses.MAX_GENUS2_K), got k={args.k}"
+                    )
+                continue
             ws = W.enumerate_witnesses(args.genus, args.h, args.k, pi)
             result.witnesses = ws
             result.per_method["witnesses"] = len(ws)

@@ -2,11 +2,11 @@
 
 A witness is a family tag plus decorated-edge parameters; each in-scope
 (genus, extra-vertex) context has a fixed list of graph families with known
-symmetries and a known realized partition.  For the genus-0 contexts the
-enumerator solves each family's linear system directly and keeps solutions
-with all entries positive; the positivity checks are exactly the side
-conditions of the case analysis.  For the other contexts the parameters are
-enumerated under the constraint imposed by the partition.
+symmetries and a known realized partition.  The genus-0 witnesses are the
+positive solutions of each family's linear system over a fixed list of
+orderings of the partition, deduplicated by the family symmetry, with no
+case analysis.  For the other contexts the parameters are enumerated under
+the constraint imposed by the partition.
 
 Data in which two of the three partitions coincide admit extra graph
 moves that the per-partition enumeration cannot see; for those seven data
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .branchdata import BranchDatum, Partition, is_partition
-from .formulas import classify_genus0_h1
 
 Context = tuple[int, int]
 
@@ -38,6 +37,13 @@ PARAM_COUNT: dict[Context, int] = {
     (1, 2): 4,
     (2, 3): 5,
 }
+
+# The largest k for which the command line lists the genus-2 witnesses.
+# There are about 7k^4/48 of them (k = 30: 0.7 s and 35 MB; k = 40: 2.5 s
+# and 83 MB on a 2-vCPU host), so k = branchdata.MAX_K would only exhaust
+# the machine; this bound keeps the cost under the genus-1 worst case at
+# MAX_K (h = 2: 4.4 s and 176 MB).
+MAX_GENUS2_K = 40
 
 
 def canonical_params(
@@ -144,86 +150,17 @@ def realized_partition(w: DessinWitness, k: int) -> Partition:
     return out
 
 
-def _w(context: Context, family: str, raw: tuple[int, ...]) -> DessinWitness | None:
-    """A witness from a raw system solution, or None if any entry is not
-    positive (the positivity of each entry is the case condition)."""
-    if any(x < 1 for x in raw):
-        return None
-    return DessinWitness(context, family, canonical_params(context, family, raw))
-
-
-def _genus0_h1(k: int, pi: Partition) -> list[DessinWitness]:
-    label = classify_genus0_h1(k, pi)
-    if label == "i":
-        return []
-    ctx = (0, 1)
-    if label in ("ii-a", "ii-b"):
-        q = pi[1]
-        if label == "ii-a":
-            out = _w(ctx, "I", (k - 2 * q, q, q))
-        else:
-            out = _w(ctx, "II", (k - q, k - q, 2 * q - k))
+def _genus0(k: int, pi: Partition) -> list[DessinWitness]:
+    """The positive solutions of each family's system over a fixed list of
+    orderings of pi, canonicalised and deduplicated: with repeated parts two
+    orderings can give the same witness."""
+    ctx = (0, len(pi) - 2)
+    if len(pi) == 3:
+        p, q, r = pi
+        raw = (("I", (k - q - r, q, r)), ("II", (k - r, k - q, k - p)))
     else:
-        q, r = pi[1], pi[2]
-        if label == "iii-a":
-            out = _w(ctx, "I", (k - q - r, q, r))
-        else:
-            out = _w(ctx, "II", (k - r, k - q, q + r - k))
-    assert out is not None, (k, pi, label)
-    return [out]
-
-
-def _genus0_h2(k: int, pi: Partition) -> list[DessinWitness]:
-    ctx = (0, 2)
-    p, q, r, s = pi
-    mults = sorted((pi.count(v) for v in set(pi)), reverse=True)
-    raw: list[tuple[str, tuple[int, int, int, int]]] = []
-    if mults == [4] or mults == [2, 2]:
-        pass
-    elif mults == [3, 1] and pi.count(p) == 3:
-        # pi = [p, p, p, q]
-        raw = [("III", (2 * k - 3 * p, k - p, 2 * p - k, 2 * p - k))]
-    elif mults == [3, 1]:
-        # pi = [p, q, q, q]
-        raw = [
-            ("I", (k - 3 * q, q, q, q)),
-            ("III", (q, 3 * q - k, k - 2 * q, k - 2 * q)),
-        ]
-    elif mults == [2, 1, 1] and pi.count(p) == 2:
-        # pi = [p, p, q, r] with q = pi[2], r = pi[3]
-        q, r = pi[2], pi[3]
-        raw = [
-            ("II", (p + q - k, 2 * k - 2 * p - q, p - q, q)),
-            ("III", (2 * k - 2 * p - q, k - p, 2 * p - k, p + q - k)),
-            ("III", (2 * k - 2 * p - q, k - q, p + q - k, p + q - k)),
-        ]
-    elif mults == [2, 1, 1] and pi.count(q) == 2:
-        # pi = [p, q, q, r] with r = pi[3]
-        r = pi[3]
-        raw = [
-            ("I", (p - k, 2 * k - p - 2 * q, q, q)),
-            ("I", (p - k, q, q, 2 * k - p - 2 * q)),
-            ("II", (k - 2 * q, q, p + 3 * q - 2 * k, 2 * k - p - 2 * q)),
-            ("II", (2 * q - k, 2 * k - p - 2 * q, p - q, q)),
-            ("III", (2 * k - p - 2 * q, k - p, p + q - k, p + q - k)),
-            ("III", (q, k - p, p + q - k, k - 2 * q)),
-            ("III", (2 * k - p - 2 * q, k - q, p + q - k, 2 * q - k)),
-        ]
-    elif mults == [2, 1, 1]:
-        # pi = [p, q, r, r]; p - q is even for such a partition of 2k
-        assert (p - q) % 2 == 0
-        j = (p - q) // 2
-        assert r == k - p + j
-        raw = [
-            ("I", (p - k, p - 2 * j, k - p + j, k - p + j)),
-            ("I", (p - k, k - p + j, p - 2 * j, k - p + j)),
-            ("II", (j, k - p + j, 2 * p - k - 3 * j, k - p + j)),
-            ("III", (k - p + j, k - p, 2 * p - 2 * j - k, j)),
-            ("III", (p - 2 * j, k - p, j, j)),
-        ]
-    else:
-        # pi = [p, q, r, s], all distinct
-        raw = [
+        p, q, r, s = pi
+        raw = (
             ("I", (p - k, q, r, s)),
             ("I", (p - k, r, q, s)),
             ("I", (p - k, s, q, r)),
@@ -237,14 +174,13 @@ def _genus0_h2(k: int, pi: Partition) -> list[DessinWitness]:
             ("III", (s, k - p, p + q - k, p + r - k)),
             ("III", (s, k - q, p + q - k, q + r - k)),
             ("III", (s, k - r, p + r - k, q + r - k)),
-        ]
-    out: list[DessinWitness] = []
-    for family, sol in raw:
-        w = _w(ctx, family, sol)
-        if w is not None:
-            out.append(w)
-    assert len(set(out)) == len(out), (k, pi, out)
-    return out
+        )
+    solutions = {
+        (family, canonical_params(ctx, family, sol))
+        for family, sol in raw
+        if min(sol) > 0
+    }
+    return [DessinWitness(ctx, family, params) for family, params in solutions]
 
 
 def _genus1_h1(k: int) -> list[DessinWitness]:
@@ -329,10 +265,8 @@ def enumerate_witnesses(g: int, h: int, k: int, pi: Partition) -> list[DessinWit
         raise ValueError(
             f"partition must have {expected_len} parts summing to {2 * k}, got {pi}"
         )
-    if context == (0, 1):
-        out = _genus0_h1(k, pi)
-    elif context == (0, 2):
-        out = _genus0_h2(k, pi)
+    if g == 0:
+        out = _genus0(k, pi)
     elif context == (1, 1):
         out = _genus1_h1(k)
     elif context == (1, 2):

@@ -8,6 +8,7 @@ import pytest
 
 from hurwitznum import cli
 from hurwitznum import formulas as F
+from hurwitznum import witnesses as W
 
 GOLDEN = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -92,6 +93,21 @@ def test_count_infeasible_degree(capsys):
                        "--pi", "24,1,1", "--method", "oracle")
     assert code == 3
     assert "infeasible" in err
+
+
+def test_genus2_witnesses_are_bounded(capsys):
+    # Criterion 08 lists the genus-2 witnesses up to k = 30.
+    assert 30 <= W.MAX_GENUS2_K < 1000
+    argv = ("count", "--genus", "2", "--h", "3", "--k", "1000")
+    code, out, err = run(capsys, *argv, "--method", "witnesses")
+    assert code == 3
+    assert out == ""
+    assert f"k = {W.MAX_GENUS2_K}" in err
+    code, out, _ = run(capsys, *argv, "--method", "all", "--format", "json")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["per_method"] == {"formula": F.nu_genus2(1000).nu}
+    assert "witnesses" not in blob
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,5 +1,9 @@
 """Witness enumeration: validity, canonicality, completeness, resolutions."""
 
+import subprocess
+import sys
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -148,6 +152,37 @@ def test_witnesses_sorted_and_canonical(g, h):
             assert keys == sorted(keys)
             for w in ws:
                 assert w.params == W.canonical_params((g, h), w.family, w.params)
+
+
+@pytest.mark.parametrize("g,h", sorted(W.FAMILIES))
+def test_witness_sets_match_the_forward_map(g, h):
+    """Each witness list is exactly the canonical parameter tuples whose
+    realized partition is pi, found without solving any system."""
+    context = (g, h)
+    families = W.FAMILIES[context]
+    for k in range(h + 2, (12 if g == 2 else 16) + 1):
+        groups = {pi: [] for pi in B.partitions_of(2 * k, h - 2 * g + 2)}
+        for cuts in combinations(range(1, k), W.PARAM_COUNT[context] - 1):
+            params = tuple(b - a for a, b in zip((0,) + cuts, cuts + (k,)))
+            for family in families:
+                if W.canonical_params(context, family, params) == params:
+                    w = W.DessinWitness(context, family, params)
+                    groups[W.realized_partition(w, k)].append(w)
+        for pi, expected in groups.items():
+            expected.sort(key=lambda w: (families.index(w.family), w.params))
+            assert W.enumerate_witnesses(g, h, k, pi) == expected, (k, pi)
+
+
+def test_witnesses_import_without_the_formulas():
+    # The witness route must not reuse the formula route's case analysis.
+    code = (
+        "import sys, hurwitznum.witnesses\n"
+        "print('hurwitznum.formulas' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_seven_coincident_resolutions():
