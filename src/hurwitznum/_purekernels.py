@@ -39,9 +39,13 @@ paths.  A subtree is cut when an edge closes a cycle whose length is no
 longer left among the target's parts (otherwise that part is taken off), or
 when an open path has more points than the largest part, since every
 completion then has the wrong cycle type.  Backtracking undoes the edges.
-These cuts drop only non-survivors, so the union of the blocks is exactly
-the involutions that survive and pass (a) and (b), in the order of the full
-walk; the leaf still checks cycle type and transitivity in full.
+These cuts drop only non-survivors.  They are also the whole cycle-type
+test: at a leaf every point lies on a closed cycle of ``t``, and each cycle
+took a part of its length off the target, so the cycle lengths are a
+sub-multiset of the target with the same sum ``d``, that is the whole
+target.  The leaf therefore tests only transitivity, and the union of the
+blocks is exactly the involutions that survive and pass (a) and (b), in the
+order of the full walk.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from itertools import accumulate
 
 # Bumped whenever the signature or the semantics of the scan change; a
 # compiled twin whose `API` differs is stale and is not used.
-API = 5
+API = 6
 
 Perm = tuple[int, ...]
 
@@ -102,9 +106,9 @@ def scan_involutions_block(
 
     A fixed-point-free involution ``v`` of degree ``d`` survives iff
 
-    * the composite ``t[x] = phi[v[x]]`` has cycle type ``target`` (weakly
-      decreasing; ``v∘phi`` is conjugate to ``t``, so either order keeps
-      the same ``v``), and
+    * the composite ``t[x] = phi[v[x]]`` has cycle type ``target`` (a
+      multiset, read in any order; ``v∘phi`` is conjugate to ``t``, so
+      either order of the composite keeps the same ``v``), and
     * the union of the cycles of ``phi`` with the pairs of ``v`` is a single
       class, so the generated group is transitive,
 
@@ -113,20 +117,17 @@ def scan_involutions_block(
 
     Splitting the stream by the partner of point 0 gives ``d - 1`` disjoint
     blocks; scanning each block for every ``first`` recovers every kept
-    involution.  ``lens`` must be parts in ``1..d`` that sum to ``d``, and
-    ``target`` at most ``d`` parts in ``1..d``.
+    involution.  ``lens`` and ``target`` must each be parts in ``1..d``
+    that sum to ``d``.
     """
     if d <= 0 or d % 2:
         raise ValueError(f"degree must be even and positive, got {d}")
     if not 1 <= first < d:
         raise ValueError(f"first partner {first} out of range")
+    for name, parts in (("anchor cycle lengths", lens), ("target", target)):
+        if not all(1 <= n <= d for n in parts) or sum(parts) != d:
+            raise ValueError(f"{name} {tuple(parts)} must be parts in 1..{d} summing to {d}")
     lens = tuple(lens)
-    if not lens or not all(1 <= n <= d for n in lens) or sum(lens) != d:
-        raise ValueError(f"anchor cycle lengths {lens} are not parts in 1..{d} summing to {d}")
-    target = tuple(target)
-    ntgt = len(target)
-    if ntgt > d or not all(1 <= n <= d for n in target):
-        raise ValueError(f"target {target} is not a list of at most {d} parts in 1..{d}")
     rot = lens[0]
     lab0 = first if first < rot else rot + first
     if first < rot and rot - first < lab0:
@@ -134,9 +135,6 @@ def scan_involutions_block(
     phi, forest, nroots, gens = _anchor(lens)
     v = [-1] * d
     survivors: list[tuple[int, ...]] = []
-    t = [0] * d
-    seen = [0] * d
-    stamp = 0
 
     # The edges of t placed so far form cycles and open paths; a point not
     # yet reached is a path of one point.  A path runs from start[e] to e
@@ -148,7 +146,7 @@ def scan_involutions_block(
     left = [0] * (d + 1)
     for n in target:
         left[n] += 1
-    largest = max(target, default=0)
+    largest = max(target)
 
     def link(x: int, y: int) -> bool:
         """Places the edge x -> y of t, or returns False, changing nothing,
@@ -181,26 +179,8 @@ def scan_involutions_block(
             start[end[y]] = y
             size[s] -= size[y]
 
-    def check() -> bool:
-        nonlocal stamp
-        for i in range(d):
-            t[i] = phi[v[i]]
-        stamp += 1
-        lengths = []
-        for i in range(d):
-            if seen[i] != stamp:
-                n = 0
-                x = i
-                while seen[x] != stamp:
-                    seen[x] = stamp
-                    x = t[x]
-                    n += 1
-                lengths.append(n)
-        if len(lengths) != ntgt:
-            return False
-        lengths.sort(reverse=True)
-        if tuple(lengths) != target:
-            return False
+    def transitive() -> bool:
+        """The pairs of v join the anchor's point classes into one."""
         parent = list(forest)
 
         def find(x: int) -> int:
@@ -243,7 +223,7 @@ def scan_involutions_block(
 
     def rec(free: list[int], active: list[tuple[Perm, Perm, int]]) -> None:
         if not free:
-            if check():
+            if transitive():
                 survivors.append(tuple(v))
             return
         a = free[0]

@@ -28,10 +28,13 @@
    subtree is cut when an edge closes a cycle whose length is no longer left
    among the target's parts, or makes an open path longer than the largest
    part.  Backtracking undoes the edges.  These cuts drop only
-   non-survivors, so the survivors and their order match the pure twin's;
-   survives() still checks each leaf in full.  The walk runs with the
-   interpreter lock released, so blocks scanned on several threads run in
-   parallel.  Build it next to the Python sources with
+   non-survivors, and they are the whole cycle-type test: at a leaf every
+   point lies on a closed cycle of t, each of which took a part of its
+   length off the target, and lens and target both sum to d, so the cycle
+   lengths are exactly the target.  The leaf only tests transitivity, and
+   the survivors and their order match the pure twin's.  The walk runs with
+   the interpreter lock released, so blocks scanned on several threads run
+   in parallel.  Build it next to the Python sources with
    `python3 setup.py build_ext --inplace`.
 
    API must equal `_purekernels.API`; `kernels` ignores a build whose API
@@ -42,11 +45,11 @@
 #include <Python.h> /* also includes stdlib.h and string.h */
 
 #define MAXD 32
-#define API 5
+#define API 6
 
 typedef struct {
-    int d, nroots, ntarget, rot, label0, largest, ngens;
-    int phi[MAXD], target[MAXD], parent[MAXD]; /* parent: cycles of phi */
+    int d, nroots, rot, label0, largest, ngens;
+    int phi[MAXD], parent[MAXD]; /* parent: cycles of phi */
     /* S as pairs g, ginv; it has at most d - l_0 members. */
     int g[MAXD][MAXD], ginv[MAXD][MAXD];
     /* The edges of t placed so far form cycles and open paths; a point not
@@ -73,34 +76,14 @@ static int label(int rot, int x, int y)
     return y < rot ? (y - x + rot) % rot : rot + y;
 }
 
-static int survives(const Scan *s, const int *v)
+/* Transitivity of <anchor, v>: start from the anchor's classes and join x
+   with v[x]. */
+static int transitive(const Scan *s, const int *v)
 {
-    int d = s->d, ncyc = 0;
-    int t[MAXD], seen[MAXD] = {0}, lens[MAXD], uf[MAXD];
+    int comps = s->nroots, uf[MAXD];
 
-    for (int i = 0; i < d; i++)
-        t[i] = s->phi[v[i]];
-    /* Cycle lengths of t, kept in weakly decreasing order. */
-    for (int i = 0; i < d; i++) {
-        if (seen[i])
-            continue;
-        if (ncyc == s->ntarget)
-            return 0;
-        int n = 0, j = ncyc++;
-        for (int x = i; !seen[x]; x = t[x], n++)
-            seen[x] = 1;
-        for (; j > 0 && lens[j - 1] < n; j--)
-            lens[j] = lens[j - 1];
-        lens[j] = n;
-    }
-    if (ncyc != s->ntarget || memcmp(lens, s->target, ncyc * sizeof(int)))
-        return 0;
-
-    /* Transitivity of <anchor, v>: start from the anchor's classes and join
-       x with v[x]. */
-    int comps = s->nroots;
-    memcpy(uf, s->parent, d * sizeof(int));
-    for (int x = 0; x < d && comps > 1; x++) {
+    memcpy(uf, s->parent, s->d * sizeof(int));
+    for (int x = 0; x < s->d && comps > 1; x++) {
         int rx = find(uf, x), ry = find(uf, v[x]);
         if (rx != ry) {
             uf[rx] = ry;
@@ -202,7 +185,7 @@ static int walk(Scan *s, int *v, int *used, int npaired, const int *act, const i
                 int nact)
 {
     if (npaired == s->d)
-        return !survives(s, v) || keep(s, v);
+        return !transitive(s, v) || keep(s, v);
     int a = 0;
     while (used[a])
         a++;
@@ -276,32 +259,31 @@ static void set_anchor(Scan *s, const int *lens, int nlens)
     }
 }
 
-/* Copies the integer entries of the sequence obj, each in lo..hi, into out.
-   There must be exactly d of them when exact, else at most d.  Returns their
-   number, or -1 with an exception set. */
-static int read_ints(PyObject *obj, const char *name, int *out, int d, int exact,
-                     long lo, long hi)
+/* Copies the entries of the sequence obj into out, which holds d ints, and
+   returns their number; they must be parts in 1..d that sum to d.  Returns
+   -1 with an exception set otherwise. */
+static int read_parts(PyObject *obj, const char *name, int *out, int d)
 {
     PyObject *seq = PySequence_Fast(obj, "lens and target must be sequences");
     if (seq == NULL)
         return -1;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    if (exact ? n != d : n > d) {
-        PyErr_Format(PyExc_ValueError, "%s has %zd entries for degree %d", name, n, d);
-        n = -1;
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq), i = 0;
+    int sum = 0;
+    /* Every part is at least 1, so i <= sum < d when out[i] is written. */
+    for (; i < n && sum < d; i++) {
         long x = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
-        if (x == -1 && PyErr_Occurred()) {
-            n = -1;
-        } else if (x < lo || x > hi) {
-            PyErr_Format(PyExc_ValueError, "%s entry %ld is outside %ld..%ld", name, x, lo, hi);
-            n = -1;
-        } else {
-            out[i] = (int)x;
-        }
+        if (x < 1 || x > d)
+            break;
+        out[i] = (int)x;
+        sum += (int)x;
     }
     Py_DECREF(seq);
+    if (PyErr_Occurred())
+        return -1;
+    if (i < n || sum != d) {
+        PyErr_Format(PyExc_ValueError, "%s must be parts in 1..%d summing to %d", name, d, d);
+        return -1;
+    }
     return (int)n;
 }
 
@@ -332,12 +314,12 @@ static PyObject *scan_involutions_block(PyObject *self, PyObject *args, PyObject
 {
     static char *kwlist[] = {"d", "first", "lens", "target", NULL};
     Scan s = {0};
-    int first, ok, nlens, sum = 0, v[MAXD], used[MAXD] = {0}, lens[MAXD];
+    int first, ok, nlens, ntarget, v[MAXD], used[MAXD] = {0}, lens[MAXD], target[MAXD];
     int act[MAXD], pos[MAXD] = {0}, act2[MAXD], pos2[MAXD], nact2 = 0;
-    PyObject *lensobj, *target, *result;
+    PyObject *lensobj, *targetobj, *result;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOO:scan_involutions_block", kwlist,
-                                     &s.d, &first, &lensobj, &target))
+                                     &s.d, &first, &lensobj, &targetobj))
         return NULL;
     if (s.d < 2 || s.d > MAXD || s.d % 2)
         return PyErr_Format(PyExc_ValueError, "degree must be even and at most %d, got %d",
@@ -345,24 +327,19 @@ static PyObject *scan_involutions_block(PyObject *self, PyObject *args, PyObject
     if (first < 1 || first >= s.d)
         return PyErr_Format(PyExc_ValueError, "first partner must be in 1..%d, got %d",
                             s.d - 1, first);
-    if ((nlens = read_ints(lensobj, "lens", lens, s.d, 0, 1, s.d)) < 0
-        || (s.ntarget = read_ints(target, "target", s.target, s.d, 0, 1, s.d)) < 0)
+    if ((nlens = read_parts(lensobj, "lens", lens, s.d)) < 0
+        || (ntarget = read_parts(targetobj, "target", target, s.d)) < 0)
         return NULL;
-    for (int i = 0; i < nlens; i++)
-        sum += lens[i];
-    if (nlens == 0 || sum != s.d)
-        return PyErr_Format(PyExc_ValueError, "anchor cycle lengths sum to %d, not %d", sum,
-                            s.d);
     set_anchor(&s, lens, nlens);
     for (int x = 0; x < s.d; x++) {
         s.start[x] = s.end[x] = x;
         s.size[x] = 1;
         v[x] = -1;
     }
-    for (int i = 0; i < s.ntarget; i++) {
-        s.left[s.target[i]]++;
-        if (s.target[i] > s.largest)
-            s.largest = s.target[i];
+    for (int i = 0; i < ntarget; i++) {
+        s.left[target[i]]++;
+        if (target[i] > s.largest)
+            s.largest = target[i];
     }
 
     s.rot = lens[0];

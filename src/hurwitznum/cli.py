@@ -6,7 +6,8 @@ Subcommands:
   report lengths, Euler characteristics, and coincident-partition flags.
 * ``count``: compute the weak count for one datum by the closed formula,
   the witness enumeration, the brute-force oracle, or all of them with an
-  agreement verdict.
+  agreement verdict, which is ``n/a`` and names the route when only one of
+  them could run.
 * ``table``: print the full genus-0 reference table at k = 8 (21 rows:
   partition, case label, count, witnesses).
 * ``sweep``: run every in-scope datum up to a degree bound through all
@@ -92,7 +93,6 @@ class CountResult:
             "convention": self.convention,
             "per_method": dict(self.per_method),
             "discrepant": self.discrepant,
-            "elapsed_ms": round(self.elapsed * 1000, 3),
         }
         if self.nu_strong is not None:
             out["nu_strong"] = self.nu_strong
@@ -302,7 +302,11 @@ def cmd_count(args: argparse.Namespace) -> int:
             )
         print(f"nu: {result.nu_weak}")
         if args.method == "all":
-            print("agreement: " + ("NO - DISCREPANT" if result.discrepant else "yes"))
+            if len(result.per_method) == 1:
+                verdict = f"n/a ({next(iter(result.per_method))} only)"
+            else:
+                verdict = "NO - DISCREPANT" if result.discrepant else "yes"
+            print(f"agreement: {verdict}")
     return EXIT_DISCREPANCY if result.discrepant else EXIT_OK
 
 

@@ -25,7 +25,10 @@ rotations of the first cycle.  The least member of every centralizer orbit
 passes, so the survivors meet every conjugation orbit; an orbit may still
 keep more than one.  The kernel also cuts a partial involution as soon as
 the forced permutation's closed cycles or open paths rule out ``target``.
-Two triples are conjugate exactly when their forms are equal,
+Each closed cycle takes a part of its length off ``target``, and ``lens``
+and ``target`` both sum to d, so a complete involution that no cut removed
+has the forced cycle type, and the kernel's only test at a leaf is
+transitivity.  Two triples are conjugate exactly when their forms are equal,
 so the merge keeps one survivor per form, the least, and neither the
 representatives nor the counts depend on the thread count.  The form
 relabels the triple only from the points of its rarest class of (``s1``-

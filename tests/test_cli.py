@@ -65,7 +65,6 @@ def test_count_json_schema(capsys):
     assert blob["per_method"] == {"formula": 2, "witnesses": 2, "oracle": 2}
     assert blob["discrepant"] is False
     assert blob["convention"] == "conjugation+swaps+reflection"
-    assert "elapsed_ms" in blob
 
 
 def test_count_discrepancy_exits_two(capsys, monkeypatch):
@@ -450,14 +449,32 @@ def test_count_stdout_deterministic(capsys):
     assert out1 == out2
 
 
-def test_count_json_deterministic_modulo_elapsed(capsys):
+def test_count_json_stdout_deterministic(capsys):
+    # The elapsed time goes to stderr only.
     args = ("count", "--genus", "1", "--h", "2", "--k", "4", "--pi", "5,3",
             "--method", "all", "--format", "json")
-    _, out1, _ = run(capsys, *args)
+    _, out1, err1 = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
-    b1, b2 = json.loads(out1), json.loads(out2)
-    b1.pop("elapsed_ms"), b2.pop("elapsed_ms")
-    assert b1 == b2
+    assert out1 == out2
+    assert "elapsed:" in err1 and "elapsed" not in out1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # oracle above --max-d, witnesses above MAX_GENUS2_K
+        ("--genus", "2", "--h", "3", "--k", "1000"),
+        # no witness families for h = 0, oracle above --max-d
+        ("--genus", "0", "--h", "0", "--k", "9", "--pi", "10,8"),
+    ],
+    ids=["genus2-k1000", "genus0-h0"],
+)
+def test_count_all_with_one_route_names_it(capsys, argv):
+    code, out, _ = run(capsys, "count", *argv, "--method", "all")
+    assert code == 0
+    assert "nu (formula):" in out
+    assert "nu (witnesses)" not in out and "nu (oracle)" not in out
+    assert out.endswith("agreement: n/a (formula only)\n")
 
 
 def test_convention_flag(capsys):

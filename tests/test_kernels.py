@@ -228,21 +228,40 @@ def test_block_union_is_the_full_stream(anchor):
             assert sorted(blocks) == brute, (impl.backend(), target)
 
 
+def _assert_rejects_bad_input(impl):
+    """impl raises ValueError on an odd degree, a first partner out of range,
+    and lens or target that are not parts in 1..d summing to d."""
+    with pytest.raises(ValueError):
+        impl.scan_involutions_block(5, 1, (5,), (5,))
+    with pytest.raises(ValueError):
+        impl.scan_involutions_block(4, 0, (4,), (2, 2))
+    # empty, a part outside 1..d, or not summing to d
+    bad = ((), (5,), (0, 4), (4, 0), (3,), (2, 1), (2, 2, 1), (2, 2, 2), (1,) * 5)
+    for parts in bad:
+        with pytest.raises(ValueError):
+            impl.scan_involutions_block(4, 1, parts, (2, 2))
+        with pytest.raises(ValueError):
+            impl.scan_involutions_block(4, 1, (4,), parts)
+
+
 def test_kernel_input_validation():
+    for impl in (_purekernels, _speed):
+        if impl is not None:
+            _assert_rejects_bad_input(impl)
+
+
+def test_target_order_is_not_read():
+    # The walk takes parts off the target as cycles close, so the target is
+    # a multiset.
+    d = 8
     for impl in (_purekernels, _speed):
         if impl is None:
             continue
-        with pytest.raises(ValueError):
-            impl.scan_involutions_block(5, 1, (5,), (5,))
-        with pytest.raises(ValueError):
-            impl.scan_involutions_block(4, 0, (4,), (2, 2))
-        # empty, a part outside 1..d, or not summing to d
-        for lens in ((), (5,), (0, 4), (4, 0), (3,), (2, 1), (2, 2, 1), (1,) * 5):
-            with pytest.raises(ValueError):
-                impl.scan_involutions_block(4, 1, lens, (2, 2))
-        for target in ((5,), (0, 4), (1,) * 5):
-            with pytest.raises(ValueError):
-                impl.scan_involutions_block(4, 1, (4,), target)
+        for lens, target in _cases(d, random.Random(11)):
+            for first in range(1, d):
+                assert impl.scan_involutions_block(d, first, lens, target[::-1]) == (
+                    impl.scan_involutions_block(d, first, lens, target)
+                ), (impl.backend(), lens, target, first)
 
 
 def test_backend_names():
@@ -388,5 +407,6 @@ def test_extension_builds_and_matches_pure(tmp_path):
     spec.loader.exec_module(built)
     assert built.backend() == "compiled"
     assert built.API == _purekernels.API
+    _assert_rejects_bad_input(built)
     for d in (4, 6, 8, 10):
         _assert_agrees_with_pure(built, d, random.Random(d * 7919))
