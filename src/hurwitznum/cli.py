@@ -231,9 +231,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_max_d(args: argparse.Namespace) -> None:
+    if args.max_d < 1:
+        raise ValueError(f"--max-d must be at least 1, got {args.max_d}")
+
+
 def _compute_count(args: argparse.Namespace) -> CountResult:
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    _check_max_d(args)
     datum, pi = _datum_from_args(args)
     conv = CONVENTIONS_BY_NAME[args.convention]
     started = time.perf_counter()
@@ -398,6 +404,7 @@ def _load_cache(path: str, version: str) -> tuple[dict[tuple[BranchDatum, str], 
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_max_d(args)
     if args.max_d > O.DEFAULT_DEGREE_BOUND:
         print(
             f"sweep bound d={args.max_d} exceeds the oracle feasibility bound "

@@ -33,13 +33,25 @@ so the merge keeps one survivor per form, the least, and neither the
 representatives nor the counts depend on the thread count.  The form
 relabels the triple only from the points of its rarest class of (``s1``-
 cycle length, ``s2``-cycle length), a class that conjugation preserves.
+
+Any other streamed class is scanned in Python: each member v is kept when
+v composed with the anchor has the forced slot's cycle type and the pair
+is transitive.  Up to ``perm.LISTED_DEGREE`` the members come from
+``perm.class_list``, listed once per process; above it they are streamed.
+
+A weak move sends each representative to a conjugation orbit, found by its
+form.  Every move is one object, and the cached representatives of a datum
+keep, per move, the list of the indices the move sends them to; a
+convention's count is a union-find over the lists of its moves.  So each
+image is taken once per datum, whichever conventions are asked and in
+whatever order, and a strong count alone takes none.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
-from functools import lru_cache
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import accumulate, chain, compress
 from operator import itemgetter
 
@@ -132,18 +144,23 @@ def _forced(t: Sequence[P.Perm], slot: int) -> P.Perm:
     return P.inverse(P.compose(t[(slot + 1) % 3], t[(slot + 2) % 3]))
 
 
-# Union-find over indices 0..n-1, with path halving.
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def _orbit_count(n: int, image_lists: Iterable[Sequence[int]]) -> int:
+    """Number of orbits of 0..n-1 under the edges i -- images[i] of every
+    list, by union-find with path halving."""
+    parent = list(range(n))
 
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-def _union(parent: list[int], x: int, y: int) -> None:
-    rx, ry = _find(parent, x), _find(parent, y)
-    if rx != ry:
-        parent[rx] = ry
+    for images in image_lists:
+        for i, j in enumerate(images):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+    return sum(parent[i] == i for i in range(n))
 
 
 def _choose_slots(datum: BranchDatum, anchor: int | None = None) -> tuple[int, int, int]:
@@ -170,6 +187,7 @@ def _choose_slots(datum: BranchDatum, anchor: int | None = None) -> tuple[int, i
 
 
 Form = tuple[P.Perm, P.Perm]
+Move = Callable[[Triple], Triple]
 
 
 @dataclass(frozen=True)
@@ -177,6 +195,9 @@ class _AnchoredReps:
     anchor: int
     reps: tuple[Triple, ...]
     forms: tuple[Form, ...]  # forms[i] is the form of reps[i]
+    # images[move][i] is the index of the representative conjugate to
+    # move(reps[i]); each move's list is filled when a count first needs it.
+    images: dict[Move, tuple[int, ...]] = field(default_factory=dict, compare=False)
 
 
 def _form(t: Triple) -> Form:
@@ -253,12 +274,15 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
     else:
         survivors = []
         id_d = P.identity(d)
-        # The forced slot is the inverse of this product, which has the
-        # same cycle type, so only survivors are completed.
-        stream_first = stream == (forced + 1) % 3
-        for v in P.class_stream(tau_s):
-            product = P.compose(v, r) if stream_first else P.compose(r, v)
-            if P.cycle_type(product) != tau_f:
+        # The forced slot is the inverse of v r or of r v, by slot order.
+        # Both are conjugate to v r, so v r has its cycle type, and only
+        # survivors are completed.  itemgetter(*r)(v) is compose(v, r);
+        # with one index itemgetter returns a bare point, and at d = 1
+        # v r = v.
+        times_r = itemgetter(*r) if d > 1 else tuple
+        members = P.class_list(tau_s) if d <= P.LISTED_DEGREE else P.class_stream(tau_s)
+        for v in members:
+            if P.cycle_type(times_r(v)) != tau_f:
                 continue
             if not P.is_transitive([r, v], d):
                 continue
@@ -338,36 +362,41 @@ def _move_reflection(t: Triple) -> Triple:
     )
 
 
-def _weak_moves(
-    partitions: tuple[tuple[int, ...], ...], convention: WeakConvention
-) -> list[Callable[[Triple], Triple]]:
+# One object per move, so that a move keys its image lists in every call.
+_SWAPS = tuple(((i, j), partial(_move_swap, i, j)) for i, j in ((0, 1), (1, 2), (0, 2)))
+
+
+def _weak_moves(partitions: tuple[Partition, ...], convention: WeakConvention) -> list[Move]:
     """The convention's moves on triples: a swap for each pair of slots with
-    equal partitions, then the reflection."""
-    moves: list[Callable[[Triple], Triple]] = []
+    equal partitions, then the reflection.  The same objects come back on
+    every call."""
+    moves: list[Move] = []
     if convention.include_slot_permutations:
-        for i, j in ((0, 1), (1, 2), (0, 2)):
-            if partitions[i] == partitions[j]:
-                moves.append(lambda t, i=i, j=j: _move_swap(i, j, t))
+        moves.extend(swap for (i, j), swap in _SWAPS if partitions[i] == partitions[j])
     if convention.include_reflection:
         moves.append(_move_reflection)
     return moves
 
 
-def _weak_orbit_count(datum: BranchDatum, info: _AnchoredReps, convention: WeakConvention) -> int:
-    reps = info.reps
-    index = {f: i for i, f in enumerate(info.forms)}
-    parent = list(range(len(reps)))
-    moves = _weak_moves(datum.partitions, convention)
-    id_d = P.identity(datum.degree)
-    for i, t in enumerate(reps):
-        for move in moves:
+def _move_images(datum: BranchDatum, info: _AnchoredReps, move: Move) -> tuple[int, ...]:
+    """``info.images[move]``, computed on first use."""
+    if move not in info.images:
+        index = {f: i for i, f in enumerate(info.forms)}
+        id_d = P.identity(datum.degree)
+        images = []
+        for t in info.reps:
             u = move(t)
             if __debug__:
                 assert P.compose(u[0], P.compose(u[1], u[2])) == id_d
                 assert tuple(P.cycle_type(s) for s in u) == datum.partitions
-            _union(parent, i, index[_form(u)])
+            images.append(index[_form(u)])
+        info.images[move] = tuple(images)
+    return info.images[move]
 
-    return sum(1 for i in range(len(reps)) if _find(parent, i) == i)
+
+def _weak_orbit_count(datum: BranchDatum, info: _AnchoredReps, convention: WeakConvention) -> int:
+    moves = _weak_moves(datum.partitions, convention)
+    return _orbit_count(len(info.reps), (_move_images(datum, info, m) for m in moves))
 
 
 def weak_hurwitz(
@@ -386,8 +415,9 @@ def weak_hurwitz(
 
 @dataclass(frozen=True)
 class _ClassTable:
-    """One conjugacy class of S_d, listed once, with the index, inverses and
-    centralizer generators that ``unanchored_profile`` reads."""
+    """One conjugacy class of S_d, with the index, inverses and centralizer
+    generators that ``unanchored_profile`` reads.  The list itself is
+    ``perm.class_list``'s, which the anchored scan reads too."""
 
     perms: tuple[P.Perm, ...]  # in class_stream order
     index: dict[P.Perm, int]  # index[perms[i]] == i
@@ -401,7 +431,7 @@ class _ClassTable:
 @lru_cache(maxsize=None)
 def _class_table(pi: Partition) -> _ClassTable:
     d = sum(pi)
-    perms = tuple(P.class_stream(pi))
+    perms = P.class_list(pi)
     assert perms[0] == P.class_representative(pi)
     # Cycle i of perms[0] is range(starts[i], starts[i + 1]).
     starts = list(accumulate(pi, initial=0))
@@ -453,10 +483,10 @@ def unanchored_profile(
     """(strong, weak-by-convention-label) by exhaustive enumeration.
 
     Every conjugation orbit of triples with product one is reached, with no
-    anchor, kernel or canonical form.  Each slot's class is listed once and
-    indexed by a dict from permutation to index.  Slot c has the largest
-    class, and the product relation forces it from the two slots x and y
-    after it.
+    anchor, kernel or canonical form.  Each slot's class is listed by
+    ``perm.class_list`` and indexed by a dict from permutation to index.
+    Slot c has the largest class, and the product relation forces it from
+    the two slots x and y after it.
 
     Slot x is fixed to its class representative x0 = ``tx.perms[0]``, whose
     cycles fill consecutive points, and y runs over its whole class; a pair
@@ -471,24 +501,29 @@ def unanchored_profile(
 
     The class lists, indices, inverses and centralizer generators are
     built once per partition and shared by every later call in the process.
-    The degree guard runs first, so that table cache holds at most the 66
-    partitions of d <= 8 (at most 46,233 permutations).
+    The degree guard runs first, and ``perm.class_list`` lists no class
+    above the same bound, so both caches hold at most the 66 partitions of
+    d <= 8 (at most 46,233 permutations).
 
     Weak orbits are further closed under each convention's moves.  A move
     image u is brought back to the row by the conjugator g that lays the
     cycles of u[x] out as x0's, and its orbit is looked up by the index of
     u[y] conjugated by g.  Conjugation and the moves preserve transitivity,
     so it is checked once per strong orbit and only transitive orbits are
-    counted.  The enumeration is shared across all conventions.  This path
-    shares only ``perm`` primitives with the anchored one: that path uses
-    no centralizer, and this one no anchored scan, kernel or ``_form``.
+    counted.  The enumeration is shared across all conventions, and each
+    move's images are taken once: every convention's moves are among
+    ``FULL_MOVES``', and each convention's count is a union-find over the
+    image lists of its moves.  Besides the moves, that union-find and
+    ``_forced``, this path shares only ``perm`` primitives with the
+    anchored one, ``perm.class_list`` among them: that path uses no
+    centralizer, and this one no anchored scan, kernel or ``_form``.
     Only sensible for very small degrees; used to certify the anchored
     algorithm.
     """
     if not rh_compatible(datum):
         raise IncompatibleDatumError(f"datum {datum} fails the compatibility relation")
     d = datum.degree
-    if d > 8:
+    if d > P.LISTED_DEGREE:
         raise InfeasibleDegreeError(f"unanchored enumeration is for tiny degrees, got d={d}")
     tables = [_class_table(pi) for pi in datum.partitions]
     c = max(range(3), key=lambda s: (len(tables[s].perms), s))
@@ -539,14 +574,17 @@ def unanchored_profile(
     # orbits to conjugation orbits; one edge per orbit root gives the full
     # weak closure.  They preserve transitivity, so every image lands in a
     # transitive orbit.
-    weak: dict[str, int] = {}
-    for convention in ALL_CONVENTIONS:
-        moves = _weak_moves(datum.partitions, convention)
-        parent = list(range(strong))
-        for i, t in enumerate(reps):
-            for move in moves:
-                u = move(t)
-                g = _to_representative(u[x])
-                _union(parent, i, roots[orbit[ty.index[P.conjugate(u[y], g)]]])
-        weak[convention.label()] = sum(1 for i in range(strong) if _find(parent, i) == i)
+    images: dict[Move, list[int]] = {}
+    for move in _weak_moves(datum.partitions, FULL_MOVES):
+        images[move] = []
+        for t in reps:
+            u = move(t)
+            g = _to_representative(u[x])
+            images[move].append(roots[orbit[ty.index[P.conjugate(u[y], g)]]])
+    weak = {
+        convention.label(): _orbit_count(
+            strong, (images[m] for m in _weak_moves(datum.partitions, convention))
+        )
+        for convention in ALL_CONVENTIONS
+    }
     return strong, weak

@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
 from itertools import permutations as _point_permutations
 
 Perm = tuple[int, ...]
 CycleType = tuple[int, ...]
+
+# class_list keeps its listings only up to this degree: the 66 classes of
+# S_1 to S_8, with 46,233 permutations in all.
+LISTED_DEGREE = 8
 
 
 def identity(d: int) -> Perm:
@@ -171,6 +176,21 @@ def class_stream(parts: Sequence[int]) -> Iterator[Perm]:
                     images[x] = x
 
     yield from rec(tuple(range(d)), tuple(parts))
+
+
+@lru_cache(maxsize=None)
+def class_list(parts: CycleType) -> tuple[Perm, ...]:
+    """``class_stream(parts)`` as a tuple, listed once per process.
+
+    Only for degrees up to ``LISTED_DEGREE``, so the cache stays bounded;
+    stream a larger class with ``class_stream``.
+
+    >>> class_list((2, 1))
+    ((1, 0, 2), (2, 1, 0), (0, 2, 1))
+    """
+    if sum(parts) > LISTED_DEGREE:
+        raise ValueError(f"class_list lists classes of degree at most {LISTED_DEGREE}")
+    return tuple(class_stream(parts))
 
 
 def class_representative(parts: Sequence[int]) -> Perm:

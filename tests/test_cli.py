@@ -200,6 +200,20 @@ def test_threads_below_one_exit_one(capsys, threads):
     assert err == f"error: --threads must be at least 1, got {threads}\n"
 
 
+@pytest.mark.parametrize("max_d", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [("count", "--genus", "0", "--h", "1", "--k", "4", "--pi", "6,1,1"), ("sweep",)],
+    ids=["count", "sweep"],
+)
+def test_max_d_below_one_exit_one(capsys, argv, max_d):
+    # A sweep with no degree to cover would otherwise report a vacuous pass.
+    code, out, err = run(capsys, *argv, "--max-d", max_d)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --max-d must be at least 1, got {max_d}\n"
+
+
 def test_table_matches_golden_text(capsys):
     code, out, _ = run(capsys, "table")
     assert code == 0

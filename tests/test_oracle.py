@@ -155,6 +155,83 @@ def test_anchor_override_gives_same_counts():
         assert O._weak_orbit_count(datum, info, O.FULL_MOVES) == base_weak, slot
 
 
+# Frozen weak counts by convention label; the first two ladders are the
+# ones pinned above, and fam(0, 1, 5, (8, 1, 1)) has one strong class.
+_LADDERS = [
+    (B.BranchDatum(1, 6, ((5, 1),) * 3), (None,), (9, 5, 4, 3)),
+    (B.BranchDatum(0, 12, ((2,) * 6, (5, 3, 2, 2), (5, 3, 2, 2))), (None,), (4, 3, 4, 3)),
+    (fam(0, 1, 5, (8, 1, 1)), (0, 1, 2), (1, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("datum, anchors, ladder", _LADDERS, ids=str)
+def test_conventions_in_any_order(monkeypatch, datum, anchors, ladder):
+    # Each move's image list is filled by the first convention that needs
+    # it, so every order of the four conventions must give the same counts.
+    # Each anchor is scanned once; every order then starts from a fresh
+    # cache holding that scan's representatives with no image lists, filed
+    # under the key weak_hurwitz reads.
+    want = dict(zip((c.label() for c in O.ALL_CONVENTIONS), ladder))
+    if datum.degree <= 8:
+        assert O.unanchored_profile(datum)[1] == want
+    for anchor in anchors:
+        monkeypatch.setattr(O, "_REPS_CACHE", {})
+        scan = O._anchored_reps(datum, 1, O.DEFAULT_DEGREE_BOUND, anchor)
+        assert anchor is None or scan.anchor == anchor
+        for order in permutations(O.ALL_CONVENTIONS):
+            fresh = O._AnchoredReps(scan.anchor, scan.reps, scan.forms)
+            monkeypatch.setattr(O, "_REPS_CACHE", {(datum, None): fresh})
+            got = {c.label(): O.weak_hurwitz(datum, c) for c in order}
+            assert got == want, (anchor, [c.label() for c in order])
+            assert set(fresh.images) == set(O._weak_moves(datum.partitions, O.FULL_MOVES))
+
+
+def _generic_scan_reference(datum, anchor):
+    """(reps, forms) of the generic branch of ``O._scan_stream`` as first
+    written: every member of the streamed class is composed with the
+    anchor in the slot order, then tested for the forced cycle type and
+    transitivity, completed, and merged by form."""
+    d = datum.degree
+    a, s, f = O._choose_slots(datum, anchor)
+    r = P.class_representative(datum.partitions[a])
+    least = {}
+    for v in P.class_stream(datum.partitions[s]):
+        product = P.compose(v, r) if s == (f + 1) % 3 else P.compose(r, v)
+        if P.cycle_type(product) != datum.partitions[f] or not P.is_transitive([r, v], d):
+            continue
+        t = [r, r, r]
+        t[s] = v
+        t[f] = O._forced(t, f)
+        t = tuple(t)
+        form = O._form(t)
+        if form not in least or t < least[form]:
+            least[form] = t
+    pairs = sorted((t, form) for form, t in least.items())
+    return tuple(t for t, _ in pairs), tuple(form for _, form in pairs)
+
+
+def _generic_scan_cases():
+    for d in range(1, 6):
+        for combo in combinations_with_replacement(B.partitions_of(d), 3):
+            chi = sum(len(p) for p in combo) - d
+            if chi % 2 or chi > 2:
+                continue
+            for pis in sorted(set(permutations(combo))):
+                datum = B.BranchDatum((2 - chi) // 2, d, pis)
+                for anchor in range(3):
+                    _, s, _ = O._choose_slots(datum, anchor)
+                    if pis[s] != (2,) * (d // 2):  # else the kernel scans
+                        yield datum, anchor
+
+
+def test_generic_scan_matches_its_reference():
+    cases = list(_generic_scan_cases())
+    assert len({datum for datum, _ in cases}) > 100
+    for datum, anchor in cases:
+        info = O._scan_stream(datum, 1, anchor)
+        assert (info.reps, info.forms) == _generic_scan_reference(datum, anchor), (datum, anchor)
+
+
 def test_threads_do_not_change_counts():
     datum = fam(0, 1, 6, (9, 2, 1))
     O._REPS_CACHE.clear()
@@ -263,11 +340,23 @@ def test_unanchored_profile_matches_brute_force(datum):
 def test_unanchored_rejects_large_degree():
     # The guard runs before any class table is built, so the table cache
     # stays bounded by the classes of d <= 8.
-    before = O._class_table.cache_info().currsize
+    before = O._class_table.cache_info().currsize, P.class_list.cache_info().currsize
     for datum in (B.BranchDatum(0, 9, ((9,), (9,), (1,) * 9)), fam(0, 1, 5, (8, 1, 1))):
         with pytest.raises(O.InfeasibleDegreeError):
             O.unanchored_profile(datum)
-    assert O._class_table.cache_info().currsize == before
+    assert (O._class_table.cache_info().currsize, P.class_list.cache_info().currsize) == before
+
+
+def test_generic_scan_above_degree_8_lists_nothing():
+    # With the involution slot as anchor the scan streams (3, 3, 2, 2) at
+    # d = 10 through the generic branch, which must not cache that class.
+    datum = fam(0, 1, 5, (8, 1, 1))
+    _, stream, _ = O._choose_slots(datum, 0)
+    assert datum.partitions[stream] == (3, 3, 2, 2)
+    P.class_list.cache_clear()
+    info = O._scan_stream(datum, 1, anchor=0)
+    assert P.class_list.cache_info().currsize == 0
+    assert len(info.reps) == O.strong_hurwitz(datum) == 1
 
 
 def test_class_tables():

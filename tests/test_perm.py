@@ -86,6 +86,18 @@ def test_class_size_matches_stream():
             assert set(elems) == members, parts
 
 
+def test_class_list_is_the_stream_listed_once():
+    for parts in [(1,), (2, 1), (3, 3, 2), (2,) * 4, (8,)]:
+        listed = P.class_list(parts)
+        assert listed == tuple(P.class_stream(parts)), parts
+        assert P.class_list(parts) is listed, parts
+    # Nothing above LISTED_DEGREE is listed, so the cache stays bounded.
+    before = P.class_list.cache_info().currsize
+    with pytest.raises(ValueError):
+        P.class_list((3, 3, 2, 1))
+    assert P.class_list.cache_info().currsize == before
+
+
 def test_class_size_formula():
     # n! / (prod parts * prod multiplicity!)
     assert P.class_size((5,)) == 24
