@@ -13,15 +13,16 @@
    member of every orbit of the anchor's centralizer passes both.  (a) For
    x < l_0, label(x) = (v[x] - x) mod l_0 when v[x] < l_0, else l_0 + v[x],
    and no label is below label(0): this compares position 0 of v with that
-   of each rotation of cycle 0 applied to v.  The pairs at 0..l_0-1 are
-   placed first, so a violated label cuts its whole subtree.  (b) For every
+   of each rotation of cycle 0 applied to v.  Each label is tested when its
+   pair is placed, so a violated label cuts its whole subtree.  (b) For every
    g in S, the conjugate g v g^-1 is not lexicographically smaller than v.
    S holds every power of the rotation of each cycle i >= 1 and the
    pointwise swap of each pair of adjacent equal-length cycles, fixed points
-   and cycles 0 and 1 included; S is built once per call and is empty for a
-   one-cycle anchor.  (b) runs as each pair is placed and cuts only when a
-   conjugate is already strictly smaller on positions that both sides have
-   fixed, so at the last pair it is the full comparison.
+   and cycles 0 and 1 included.  S is built once per call; it is empty for
+   lens (d) and, when d > 2, (d - 1, 1), and for no other lens.  (b) runs as
+   each pair is placed and cuts only when a conjugate is already strictly
+   smaller on positions that both sides have fixed, so at the last pair it
+   is the full comparison.
 
    The walk also tracks the cycles and open paths of the partial t: placing
    the pair (a, b) adds the edges a -> phi[b] and b -> phi[a], and the
@@ -31,11 +32,18 @@
    non-survivors, and they are the whole cycle-type test: at a leaf every
    point lies on a closed cycle of t, each of which took a part of its
    length off the target, and lens and target both sum to d, so the cycle
-   lengths are exactly the target.  The leaf only tests transitivity, and
-   the survivors and their order match the pure twin's.  The walk runs with
-   the interpreter lock released, so blocks scanned on several threads run
-   in parallel.  Build it next to the Python sources with
-   `python3 setup.py build_ext --inplace`.
+   lengths are exactly the target.  The leaf only tests transitivity.
+
+   The walk pairs the points in point order when S is non-empty: the least
+   free point next, so that the positions of v fill from 0 upwards and test
+   (b)'s prefix comparisons decide early.  When S is empty, as for the
+   anchor (d) of every genus-2 datum, it uses path order: the free point
+   that ends the largest open path of t next, the least one on ties.  The
+   cycles of t then close near the root, where the closed-cycle cut drops
+   whole subtrees, instead of near the leaves.  The survivors and their
+   order match the pure twin's.  The walk runs with the interpreter lock
+   released, so blocks scanned on several threads run in parallel.  Build
+   it next to the Python sources with `python3 setup.py build_ext --inplace`.
 
    API must equal `_purekernels.API`; `kernels` ignores a build whose API
    differs, so bump both whenever the signature or the semantics change.
@@ -45,7 +53,7 @@
 #include <Python.h> /* also includes stdlib.h and string.h */
 
 #define MAXD 32
-#define API 6
+#define API 7
 
 typedef struct {
     int d, nroots, rot, label0, largest, ngens;
@@ -176,23 +184,36 @@ static int undecided(const Scan *s, const int *v, const int *act, const int *pos
     return n;
 }
 
-/* Pairs the smallest unpaired point with each later unpaired point in turn,
-   in the pure twin's order, skipping pairs that give a point of 0..rot-1 a
-   label below label(0), pairs whose edges of t add_edge refuses and pairs
-   that test (b) cuts; act, pos and nact are test (b)'s state, as in
-   undecided().  Returns 0 when the survivor buffer cannot grow. */
+/* Pairs the next unpaired point a, in point or path order (see the header),
+   with each other unpaired point in increasing order, as the pure twin does,
+   skipping pairs that give a point of 0..rot-1 a label below label(0), pairs
+   whose edges of t add_edge refuses and pairs that test (b) cuts; act, pos
+   and nact are test (b)'s state, as in undecided().  Returns 0 when the
+   survivor buffer cannot grow. */
 static int walk(Scan *s, int *v, int *used, int npaired, const int *act, const int *pos,
                 int nact)
 {
     if (npaired == s->d)
         return !transitive(s, v) || keep(s, v);
-    int a = 0;
-    while (used[a])
-        a++;
+    int a = 0, b0 = 1; /* point 0 is always paired */
+    if (s->ngens) { /* point order: the least free point */
+        while (used[a])
+            a++;
+        b0 = a + 1;
+    } else { /* path order: the end of the largest open path, least on ties */
+        for (int x = 1, most = 0; x < s->d; x++)
+            if (!used[x] && s->size[s->start[x]] > most) {
+                most = s->size[s->start[x]];
+                a = x;
+            }
+    }
     used[a] = 1;
-    for (int b = a + 1; b < s->d; b++) {
+    for (int b = b0; b < s->d; b++) {
         if (used[b])
             continue;
+        /* Only path order gives a >= rot, and only for lens = (d - 1, 1) with
+           a = d - 1 != first.  The label of b < rot is then rot + d - 1,
+           never below label(0), so skipping it is exact. */
         if (a < s->rot
             && (label(s->rot, a, b) < s->label0
                 || (b < s->rot && label(s->rot, b, a) < s->label0)))

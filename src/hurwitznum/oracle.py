@@ -25,12 +25,17 @@ rotations of the first cycle.  The least member of every centralizer orbit
 passes, so the survivors meet every conjugation orbit; an orbit may still
 keep more than one.  The kernel also cuts a partial involution as soon as
 the forced permutation's closed cycles or open paths rule out ``target``.
-Each closed cycle takes a part of its length off ``target``, and ``lens``
-and ``target`` both sum to d, so a complete involution that no cut removed
-has the forced cycle type, and the kernel's only test at a leaf is
-transitivity.  Two triples are conjugate exactly when their forms are equal,
-so the merge keeps one survivor per form, the least, and neither the
-representatives nor the counts depend on the thread count.  The form
+For the anchors with no later cycle to rotate or swap, ``lens`` ``(d,)``
+(every genus-2 datum) and ``(d - 1, 1)``, it grows the largest open path
+first, so that cycles close and this cut acts near the root; other anchors
+place the least free point first, which the lexicographic test needs.  The
+order changes only the order of the survivors.  Each closed cycle takes a
+part of its length off ``target``, and ``lens`` and ``target`` both sum to
+d, so a complete involution that no cut removed has the forced cycle type,
+and the kernel's only test at a leaf is transitivity.  Two triples are
+conjugate exactly when their forms are equal, so the merge keeps one
+survivor per form, the least, and neither the representatives nor the
+counts depend on the thread count or the kernel's order.  The form
 relabels the triple only from the points of its rarest class of (``s1``-
 cycle length, ``s2``-cycle length), a class that conjugation preserves.
 

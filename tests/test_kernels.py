@@ -30,18 +30,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _cases(d, rng):
     """Anchored-scan configurations (lens, target) of even degree d, with lens
-    the anchor's cycle lengths: the d-cycle against every target, then six
-    random anchors and targets."""
-    for target in B.partitions_of(d):
-        yield (d,), tuple(target)
+    the anchor's cycle lengths: the d-cycle and (d - 1, 1), whose walks run in
+    path order, against every target, then six random anchors and targets."""
+    for lens in ((d,), (d - 1, 1)):
+        for target in B.partitions_of(d):
+            yield lens, tuple(target)
     for _ in range(6):
         yield tuple(rng.choice(B.partitions_of(d))), tuple(rng.choice(B.partitions_of(d)))
 
 
-def _assert_agrees_with_pure(impl, d, rng):
+def _assert_agrees_with_pure(impl, cases):
     """impl returns the pure twin's survivors, in the same order, on every
-    block of every case."""
-    for lens, target in _cases(d, rng):
+    block of every case (lens, target)."""
+    for lens, target in cases:
+        d = sum(lens)
         for first in range(1, d):
             args = (d, first, lens, target)
             assert impl.scan_involutions_block(*args) == (
@@ -136,7 +138,7 @@ EQUAL_CYCLE_ANCHORS = [(2, 2, 2, 2), (3, 3, 2), (2, 2, 1, 1), (4, 4, 2), (2, 2, 
 @needs_speed
 @pytest.mark.parametrize("d", [4, 6, 8, 10])
 def test_backends_agree_on_random_blocks(d):
-    _assert_agrees_with_pure(_speed, d, random.Random(d * 1009))
+    _assert_agrees_with_pure(_speed, _cases(d, random.Random(d * 1009)))
 
 
 @pytest.mark.parametrize("d", [4, 6, 8, 10])
@@ -180,12 +182,7 @@ def test_backends_agree_on_family_blocks():
     # the exact configuration the oracle runs: anchor on the involution
     # class companions of a reference-table row
     datum = B.make_family_datum(0, 1, 6, (9, 2, 1))
-    d = datum.degree
-    for first in range(1, d):
-        args = (d, first, datum.partitions[1], datum.partitions[2])
-        assert _speed.scan_involutions_block(*args) == (
-            _purekernels.scan_involutions_block(*args)
-        )
+    _assert_agrees_with_pure(_speed, [datum.partitions[1:]])
 
 
 def test_survivors_are_valid_involutions():
@@ -206,8 +203,8 @@ def test_survivors_are_valid_involutions():
 @pytest.mark.parametrize(
     "anchor",
     [(3, 3), (2, 2, 2), (3, 2, 1), (4, 2, 2), (3, 3, 1, 1),
-     (4,), (6,), (8,), (10,), (4, 4), (5, 3), (6, 2), (4, 3, 2, 1), (7, 2, 1),
-     *EQUAL_CYCLE_ANCHORS],
+     (4,), (6,), (8,), (10,), (3, 1), (5, 1), (7, 1), (9, 1),
+     (4, 4), (5, 3), (6, 2), (4, 3, 2, 1), (7, 2, 1), *EQUAL_CYCLE_ANCHORS],
     ids=lambda parts: "-".join(map(str, parts)),
 )
 def test_block_union_is_the_full_stream(anchor):
@@ -409,4 +406,13 @@ def test_extension_builds_and_matches_pure(tmp_path):
     assert built.API == _purekernels.API
     _assert_rejects_bad_input(built)
     for d in (4, 6, 8, 10):
-        _assert_agrees_with_pure(built, d, random.Random(d * 7919))
+        _assert_agrees_with_pure(built, _cases(d, random.Random(d * 7919)))
+    # Path order on a clean checkout: the configuration of the `deep`
+    # benchmark, make_family_datum(2, 3, 7, (14,)), and the (11, 1) anchor
+    # against every target of degree 12.
+    datum = B.make_family_datum(2, 3, 7, (14,))
+    anchor, _, forced = O._choose_slots(datum)
+    configs = [(datum.partitions[anchor], datum.partitions[forced])]
+    assert configs == [((14,), (7, 3, 2, 2))]
+    configs += [((11, 1), tuple(target)) for target in B.partitions_of(12)]
+    _assert_agrees_with_pure(built, configs)

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitznum import branchdata as B
+from hurwitznum import formulas as F
 from hurwitznum import oracle as O
 from hurwitznum import perm as P
+from hurwitznum import witnesses as W
 
 
 def fam(g, h, k, pi):
@@ -436,8 +438,6 @@ def test_weak_never_exceeds_strong():
 
 
 def test_live_arbitration_from_oracle():
-    from hurwitznum import formulas as F
-
     oracle_values = {
         k: O.weak_hurwitz(fam(1, 1, k, (2 * k,)), O.FULL_MOVES) for k in (3, 4, 5)
     }
@@ -539,3 +539,14 @@ def test_orbit_sizes_match_frobenius_count(k, survivors):
     frobenius = _frobenius_count(datum.partitions)
     assert total * anchor_class == frobenius
     assert sum(Fraction(factorial(d), n) for n in auts) == frobenius
+
+
+@pytest.mark.parametrize("k, strong, weak", [(9, 490, 260), (10, 882, 456)])
+def test_genus2_closed_form_past_the_default_bound(k, strong, weak):
+    # The oracle's checks of the genus-2 closed form above d = 16.  The
+    # anchor is the single 2k-cycle, so the kernel walks in path order.
+    datum = fam(2, 3, k, (2 * k,))
+    assert O.strong_hurwitz(datum, degree_bound=2 * k) == strong
+    assert O.weak_hurwitz(datum, O.FULL_MOVES, degree_bound=2 * k) == weak
+    assert F.nu_genus2(k).nu == weak
+    assert len(W.enumerate_witnesses(2, 3, k, (2 * k,))) == weak
