@@ -26,6 +26,10 @@ Partition = tuple[int, ...]
 # its own, lower bound, witnesses.MAX_GENUS2_K.
 MAX_K = 1000
 
+# The (g, h) shapes of the family that the paper's closed forms cover, in
+# the order ``family_data`` lists them.
+FORMULA_SHAPES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 3))
+
 
 class MalformedDatumError(ValueError):
     """A structurally broken datum (for example a partition not summing to d).
@@ -277,12 +281,11 @@ def datum_coincidences(datum: BranchDatum) -> tuple[Coincidence, ...]:
 def family_data(max_d: int) -> list[tuple[FamilyParams, BranchDatum]]:
     """All family data of degree at most ``max_d`` with a formula in scope.
 
-    Covers (g, h) in {(0,0), (0,1), (0,2), (1,1), (1,2), (2,3)}, every
-    admissible k with 2k <= max_d, and every admissible pi in
-    reverse-lexicographic order.
+    Covers every (g, h) in ``FORMULA_SHAPES``, every admissible k with
+    2k <= max_d, and every admissible pi in reverse-lexicographic order.
     """
     out = []
-    for g, h in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 3)):
+    for g, h in FORMULA_SHAPES:
         for k in count(h + 2):
             if 2 * k > max_d:
                 break

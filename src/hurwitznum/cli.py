@@ -7,7 +7,7 @@ Subcommands:
 * ``count``: compute the weak count for one datum by the closed formula,
   the witness enumeration, the brute-force oracle, or all of them with an
   agreement verdict, which is ``n/a`` and names the route when only one of
-  them could run.
+  them could run.  The oracle runs only up to ``--max-d``.
 * ``table``: print the full genus-0 reference table at k = 8 (21 rows:
   partition, case label, count, witnesses).
 * ``sweep``: run every in-scope datum up to a degree bound through all
@@ -41,6 +41,7 @@ from . import formulas as F
 from . import oracle as O
 from . import witnesses as W
 from .branchdata import (
+    FORMULA_SHAPES,
     BranchDatum,
     MalformedDatumError,
     check_family_params,
@@ -135,8 +136,9 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--max-d",
             type=int,
-            default=O.DEFAULT_DEGREE_BOUND,
-            help="oracle feasibility bound on the degree",
+            default=16,
+            help="largest degree to run the oracle on (default %(default)s; "
+            f"the oracle itself stops at HARD_DEGREE_CAP = {O.HARD_DEGREE_CAP})",
         )
 
     p_check = sub.add_parser("check", help="validate a datum and report structure")
@@ -250,6 +252,8 @@ def _compute_count(args: argparse.Namespace) -> CountResult:
     )
     for method in methods:
         if method == "formula":
+            if args.method == "all" and (args.genus, args.h) not in FORMULA_SHAPES:
+                continue
             fr = F.nu_for_family(args.genus, args.h, args.k, pi)
             result.label = fr.label
             result.intermediates = fr.intermediates
@@ -272,17 +276,20 @@ def _compute_count(args: argparse.Namespace) -> CountResult:
             result.witnesses = ws
             result.per_method["witnesses"] = len(ws)
         else:
-            if args.method == "all" and datum.degree > args.max_d:
+            if datum.degree > args.max_d:
+                if args.method != "all":
+                    raise O.InfeasibleDegreeError(
+                        f"degree {datum.degree} exceeds --max-d {args.max_d}"
+                    )
                 continue
-            result.nu_strong = O.strong_hurwitz(
-                datum, threads=args.threads, degree_bound=args.max_d
-            )
-            result.per_method["oracle"] = O.weak_hurwitz(
-                datum, conv, threads=args.threads, degree_bound=args.max_d
-            )
-    result.nu_weak = result.per_method[
-        "oracle" if "oracle" in result.per_method else methods[0]
-    ]
+            result.nu_strong = O.strong_hurwitz(datum, threads=args.threads)
+            result.per_method["oracle"] = O.weak_hurwitz(datum, conv, threads=args.threads)
+    if not result.per_method:
+        raise O.InfeasibleDegreeError(
+            f"no route can count {datum}: (g={args.genus}, h={args.h}) has no closed "
+            f"form or witness family, and degree {datum.degree} exceeds --max-d {args.max_d}"
+        )
+    result.nu_weak = result.per_method.get("oracle", next(iter(result.per_method.values())))
     result.elapsed = time.perf_counter() - started
     return result
 
@@ -405,13 +412,13 @@ def _load_cache(path: str, version: str) -> tuple[dict[tuple[BranchDatum, str], 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _check_max_d(args)
-    if args.max_d > O.DEFAULT_DEGREE_BOUND:
-        print(
-            f"sweep bound d={args.max_d} exceeds the oracle feasibility bound "
-            f"{O.DEFAULT_DEGREE_BOUND}",
-            file=sys.stderr,
+    if args.max_d > O.HARD_DEGREE_CAP:
+        # Refused up front: the oracle would refuse only after every datum
+        # below the cap.
+        raise O.InfeasibleDegreeError(
+            f"sweep bound d={args.max_d} exceeds the oracle feasibility cap "
+            f"HARD_DEGREE_CAP = {O.HARD_DEGREE_CAP}"
         )
-        return EXIT_INFEASIBLE
     conv = CONVENTIONS_BY_NAME[args.convention]
     label = conv.label()
     path = args.cache or os.environ.get(CACHE_ENV) or None
@@ -454,7 +461,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 ):
                     reused += 1
                 else:
-                    nu = O.weak_hurwitz(datum, conv, degree_bound=args.max_d)
+                    nu = O.weak_hurwitz(datum, conv)
                     computed += 1
                     # A recount that only confirms the cached line adds none,
                     # so neither a real discrepancy nor --force grows the file

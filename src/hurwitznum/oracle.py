@@ -47,14 +47,14 @@ is transitive.  Up to ``perm.LISTED_DEGREE`` the members come from
 A weak move sends each representative to a conjugation orbit, found by its
 form.  Every move is one object, and the cached representatives of a datum
 keep, per move, the list of the indices the move sends them to; a
-convention's count is a union-find over the lists of its moves.  So each
-image is taken once per datum, whichever conventions are asked and in
-whatever order, and a strong count alone takes none.
+convention's count is ``perm.orbit_count`` over the lists of its moves.
+So each image is taken once per datum, whichever conventions are asked and
+in whatever order, and a strong count alone takes none.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate, chain, compress
@@ -65,7 +65,6 @@ from . import perm as P
 from .branchdata import BranchDatum, Partition, rh_compatible
 
 HARD_DEGREE_CAP = 24
-DEFAULT_DEGREE_BOUND = 16
 
 
 class IncompatibleDatumError(ValueError):
@@ -73,7 +72,9 @@ class IncompatibleDatumError(ValueError):
 
 
 class InfeasibleDegreeError(RuntimeError):
-    """The degree is beyond the configured (or absolute) enumeration bound."""
+    """The degree is beyond a route's bound: the oracle's
+    ``HARD_DEGREE_CAP``, or on the command line ``--max-d`` or
+    ``witnesses.MAX_GENUS2_K``."""
 
 
 @dataclass(frozen=True)
@@ -129,17 +130,6 @@ class MonodromyTriple:
             raise ValueError("the triple does not generate a transitive group")
 
 
-def _check_feasible(datum: BranchDatum, degree_bound: int) -> None:
-    if datum.degree > HARD_DEGREE_CAP:
-        raise InfeasibleDegreeError(
-            f"degree {datum.degree} exceeds the absolute cap {HARD_DEGREE_CAP}"
-        )
-    if datum.degree > degree_bound:
-        raise InfeasibleDegreeError(
-            f"degree {datum.degree} exceeds the configured bound {degree_bound}"
-        )
-
-
 def _forced(t: Sequence[P.Perm], slot: int) -> P.Perm:
     """The permutation that the product relation forces into ``slot``.
 
@@ -147,25 +137,6 @@ def _forced(t: Sequence[P.Perm], slot: int) -> P.Perm:
     the inverse of the product of the next two; ``t[slot]`` is not read.
     """
     return P.inverse(P.compose(t[(slot + 1) % 3], t[(slot + 2) % 3]))
-
-
-def _orbit_count(n: int, image_lists: Iterable[Sequence[int]]) -> int:
-    """Number of orbits of 0..n-1 under the edges i -- images[i] of every
-    list, by union-find with path halving."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for images in image_lists:
-        for i, j in enumerate(images):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return sum(parent[i] == i for i in range(n))
 
 
 def _choose_slots(datum: BranchDatum, anchor: int | None = None) -> tuple[int, int, int]:
@@ -197,7 +168,6 @@ Move = Callable[[Triple], Triple]
 
 @dataclass(frozen=True)
 class _AnchoredReps:
-    anchor: int
     reps: tuple[Triple, ...]
     forms: tuple[Form, ...]  # forms[i] is the form of reps[i]
     # images[move][i] is the index of the representative conjugate to
@@ -303,29 +273,30 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
         if f not in least or t < least[f]:
             least[f] = t
     pairs = sorted((t, f) for f, t in least.items())
-    return _AnchoredReps(
-        anchor=anchor, reps=tuple(t for t, _ in pairs), forms=tuple(f for _, f in pairs)
-    )
+    return _AnchoredReps(reps=tuple(t for t, _ in pairs), forms=tuple(f for _, f in pairs))
 
 
-_REPS_CACHE: dict[tuple[BranchDatum, int | None], _AnchoredReps] = {}
+_REPS_CACHE: dict[BranchDatum, _AnchoredReps] = {}
 
 
-def _anchored_reps(
-    datum: BranchDatum, threads: int, degree_bound: int, anchor: int | None = None
-) -> _AnchoredReps:
-    if not rh_compatible(datum):
-        raise IncompatibleDatumError(f"datum {datum} fails the compatibility relation")
-    _check_feasible(datum, degree_bound)
-    key = (datum, anchor)
-    if key not in _REPS_CACHE:
-        _REPS_CACHE[key] = _scan_stream(datum, threads, anchor)
-    return _REPS_CACHE[key]
+def _anchored_reps(datum: BranchDatum, threads: int) -> _AnchoredReps:
+    """The datum's representatives, scanned on the first call.  Only a
+    compatible datum of degree at most ``HARD_DEGREE_CAP`` is scanned, so a
+    cached one needs no check."""
+    info = _REPS_CACHE.get(datum)
+    if info is None:
+        if not rh_compatible(datum):
+            raise IncompatibleDatumError(f"datum {datum} fails the compatibility relation")
+        if datum.degree > HARD_DEGREE_CAP:
+            raise InfeasibleDegreeError(
+                f"degree {datum.degree} exceeds the oracle's cap HARD_DEGREE_CAP = "
+                f"{HARD_DEGREE_CAP}"
+            )
+        info = _REPS_CACHE[datum] = _scan_stream(datum, threads)
+    return info
 
 
-def enumerate_triples(
-    datum: BranchDatum, threads: int = 1, degree_bound: int = DEFAULT_DEGREE_BOUND
-) -> list[MonodromyTriple]:
+def enumerate_triples(datum: BranchDatum, threads: int = 1) -> list[MonodromyTriple]:
     """One representative per simultaneous-conjugation orbit of valid triples.
 
     Each representative is the least scan survivor, in the lexicographic
@@ -333,15 +304,13 @@ def enumerate_triples(
     so the representatives do not depend on the thread count, and the list
     is sorted, so the output is deterministic.
     """
-    info = _anchored_reps(datum, threads, degree_bound)
+    info = _anchored_reps(datum, threads)
     return [MonodromyTriple(*t) for t in info.reps]
 
 
-def strong_hurwitz(
-    datum: BranchDatum, threads: int = 1, degree_bound: int = DEFAULT_DEGREE_BOUND
-) -> int:
+def strong_hurwitz(datum: BranchDatum, threads: int = 1) -> int:
     """Number of strong equivalence classes (simultaneous-conjugation orbits)."""
-    return len(_anchored_reps(datum, threads, degree_bound).reps)
+    return len(_anchored_reps(datum, threads).reps)
 
 
 def _move_swap(i: int, j: int, t: Triple) -> Triple:
@@ -401,20 +370,15 @@ def _move_images(datum: BranchDatum, info: _AnchoredReps, move: Move) -> tuple[i
 
 def _weak_orbit_count(datum: BranchDatum, info: _AnchoredReps, convention: WeakConvention) -> int:
     moves = _weak_moves(datum.partitions, convention)
-    return _orbit_count(len(info.reps), (_move_images(datum, info, m) for m in moves))
+    return P.orbit_count(len(info.reps), (_move_images(datum, info, m) for m in moves))
 
 
-def weak_hurwitz(
-    datum: BranchDatum,
-    convention: WeakConvention,
-    threads: int = 1,
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
-) -> int:
+def weak_hurwitz(datum: BranchDatum, convention: WeakConvention, threads: int = 1) -> int:
     """Number of weak equivalence classes under the given convention.
 
     Never larger than the strong count, and zero exactly when it is zero.
     """
-    info = _anchored_reps(datum, threads, degree_bound)
+    info = _anchored_reps(datum, threads)
     return _weak_orbit_count(datum, info, convention)
 
 
@@ -517,11 +481,11 @@ def unanchored_profile(
     so it is checked once per strong orbit and only transitive orbits are
     counted.  The enumeration is shared across all conventions, and each
     move's images are taken once: every convention's moves are among
-    ``FULL_MOVES``', and each convention's count is a union-find over the
-    image lists of its moves.  Besides the moves, that union-find and
-    ``_forced``, this path shares only ``perm`` primitives with the
-    anchored one, ``perm.class_list`` among them: that path uses no
-    centralizer, and this one no anchored scan, kernel or ``_form``.
+    ``FULL_MOVES``', and each convention's count is ``perm.orbit_count``
+    over the image lists of its moves.  Besides the moves and ``_forced``,
+    this path shares only ``perm`` primitives with the anchored one,
+    ``perm.orbit_count`` and ``perm.class_list`` among them: that path uses
+    no centralizer, and this one no anchored scan, kernel or ``_form``.
     Only sensible for very small degrees; used to certify the anchored
     algorithm.
     """
@@ -587,7 +551,7 @@ def unanchored_profile(
             g = _to_representative(u[x])
             images[move].append(roots[orbit[ty.index[P.conjugate(u[y], g)]]])
     weak = {
-        convention.label(): _orbit_count(
+        convention.label(): P.orbit_count(
             strong, (images[m] for m in _weak_moves(datum.partitions, convention))
         )
         for convention in ALL_CONVENTIONS

@@ -208,16 +208,14 @@ def class_representative(parts: Sequence[int]) -> Perm:
     return from_cycles(start, out)
 
 
-def is_transitive(gens: Sequence[Perm], d: int) -> bool:
-    """True iff the group generated by ``gens`` has a single orbit.
+def orbit_count(n: int, maps: Iterable[Sequence[int]]) -> int:
+    """Number of orbits of ``0..n-1`` under the edges ``i -- m[i]`` of every
+    map ``m``, by union-find with path halving.
 
-    Implemented as union-find over the generator images, so no group
-    elements are materialized.
+    >>> orbit_count(4, [(1, 0, 2, 3)])
+    3
     """
-    for g in gens:
-        if len(g) != d:
-            raise ValueError(f"degree mismatch: {len(g)} != {d}")
-    parent = list(range(d))
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -225,11 +223,23 @@ def is_transitive(gens: Sequence[Perm], d: int) -> bool:
             x = parent[x]
         return x
 
-    components = d
+    orbits = n
+    for m in maps:
+        for i, j in enumerate(m):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+                orbits -= 1
+    return orbits
+
+
+def is_transitive(gens: Sequence[Perm], d: int) -> bool:
+    """True iff the group generated by ``gens`` has a single orbit.
+
+    Counted by ``orbit_count`` over the generator images, so no group
+    elements are materialized.
+    """
     for g in gens:
-        for x in range(d):
-            rx, ry = find(x), find(g[x])
-            if rx != ry:
-                parent[rx] = ry
-                components -= 1
-    return components == 1
+        if len(g) != d:
+            raise ValueError(f"degree mismatch: {len(g)} != {d}")
+    return orbit_count(d, gens) == 1

@@ -442,9 +442,17 @@ def test_sweep_unwritable_cache_is_io_error(capsys, tmp_path):
 
 
 def test_sweep_over_bound_is_infeasible(capsys):
-    code, _, err = run(capsys, "sweep", "--max-d", "18")
+    code, _, err = run(capsys, "sweep", "--max-d", "26")
     assert code == 3
     assert "feasibility" in err
+
+
+def test_sweep_reaches_past_the_default_max_d(capsys):
+    # The 94 data at d = 18 are the oracle's first checks of the genus-0
+    # and genus-1 closed forms at k = 9.
+    code, out, _ = run(capsys, "sweep", "--max-d", "18")
+    assert code == 0
+    assert out.endswith("total: 320 data, 0 discrepancies\n")
 
 
 def test_sweep_json_format(capsys, tmp_path):
@@ -489,6 +497,31 @@ def test_count_all_with_one_route_names_it(capsys, argv):
     assert "nu (formula):" in out
     assert "nu (witnesses)" not in out and "nu (oracle)" not in out
     assert out.endswith("agreement: n/a (formula only)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, nu",
+    [
+        (("--genus", "2", "--h", "4", "--k", "6", "--pi", "7,5"), 12),
+        (("--genus", "1", "--h", "3", "--k", "6", "--pi", "6,4,2"), 5),
+        (("--genus", "3", "--h", "5", "--k", "8", "--pi", "16"), 1753),
+    ],
+    ids=["genus2-h4", "genus1-h3", "genus3-h5"],
+)
+def test_count_all_without_closed_form_runs_the_oracle(capsys, argv, nu):
+    code, out, _ = run(capsys, "count", *argv, "--method", "all")
+    assert code == 0
+    assert "nu (formula)" not in out and "nu (witnesses)" not in out
+    assert f"nu (oracle): {nu}  [strong " in out
+    assert out.endswith(f"nu: {nu}\nagreement: n/a (oracle only)\n")
+
+
+def test_count_all_with_no_route_is_infeasible(capsys):
+    code, out, err = run(capsys, "count", "--genus", "3", "--h", "5", "--k", "9",
+                         "--pi", "18", "--method", "all")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("infeasible: ") and "--max-d 16" in err
 
 
 def test_convention_flag(capsys):

@@ -62,12 +62,9 @@ def test_incompatible_datum_raises():
 
 
 def test_degree_bounds():
-    big = fam(0, 1, 9, (16, 1, 1))
-    with pytest.raises(O.InfeasibleDegreeError):
-        O.strong_hurwitz(big)  # default bound is 16
     huge = fam(0, 1, 13, (24, 1, 1))
     with pytest.raises(O.InfeasibleDegreeError):
-        O.strong_hurwitz(huge, degree_bound=30)  # hard cap is 24
+        O.strong_hurwitz(huge)  # hard cap is 24
 
 
 def test_convention_labels():
@@ -151,8 +148,9 @@ def test_anchor_override_gives_same_counts():
     base_strong = O.strong_hurwitz(datum)
     base_weak = O.weak_hurwitz(datum, O.FULL_MOVES)
     for slot in range(3):
-        info = O._anchored_reps(datum, 1, O.DEFAULT_DEGREE_BOUND, anchor=slot)
-        assert info.anchor == slot
+        info = O._scan_stream(datum, 1, slot)
+        r = P.class_representative(datum.partitions[slot])
+        assert all(t[slot] == r for t in info.reps), slot
         assert len(info.reps) == base_strong, slot
         assert O._weak_orbit_count(datum, info, O.FULL_MOVES) == base_weak, slot
 
@@ -177,12 +175,13 @@ def test_conventions_in_any_order(monkeypatch, datum, anchors, ladder):
     if datum.degree <= 8:
         assert O.unanchored_profile(datum)[1] == want
     for anchor in anchors:
-        monkeypatch.setattr(O, "_REPS_CACHE", {})
-        scan = O._anchored_reps(datum, 1, O.DEFAULT_DEGREE_BOUND, anchor)
-        assert anchor is None or scan.anchor == anchor
+        scan = O._scan_stream(datum, 1, anchor)
+        if anchor is not None:
+            r = P.class_representative(datum.partitions[anchor])
+            assert all(t[anchor] == r for t in scan.reps)
         for order in permutations(O.ALL_CONVENTIONS):
-            fresh = O._AnchoredReps(scan.anchor, scan.reps, scan.forms)
-            monkeypatch.setattr(O, "_REPS_CACHE", {(datum, None): fresh})
+            fresh = O._AnchoredReps(scan.reps, scan.forms)
+            monkeypatch.setattr(O, "_REPS_CACHE", {datum: fresh})
             got = {c.label(): O.weak_hurwitz(datum, c) for c in order}
             assert got == want, (anchor, [c.label() for c in order])
             assert set(fresh.images) == set(O._weak_moves(datum.partitions, O.FULL_MOVES))
@@ -448,7 +447,7 @@ def test_results_cached_across_conventions():
     datum = fam(0, 1, 6, (10, 1, 1))
     O._REPS_CACHE.clear()
     O.weak_hurwitz(datum, O.CONJUGATION_ONLY)
-    assert any(key[0] == datum for key in O._REPS_CACHE)
+    assert datum in O._REPS_CACHE
     before = len(O._REPS_CACHE)
     O.weak_hurwitz(datum, O.FULL_MOVES)
     assert len(O._REPS_CACHE) == before
@@ -527,14 +526,15 @@ def test_orbit_sizes_match_frobenius_count(k, survivors):
     # t stands for d!/|Aut(t)| triples, |C(r)|/|Aut(t)| of them with the
     # anchor slot holding r, since every automorphism of t commutes with r.
     datum = fam(2, 3, k, (2 * k,))
-    info = O._anchored_reps(datum, 2, O.DEFAULT_DEGREE_BOUND)
+    info = O._anchored_reps(datum, 2)
+    anchor = O._choose_slots(datum)[0]
     d = datum.degree
-    centralizer = factorial(d) // P.class_size(datum.partitions[info.anchor])
+    centralizer = factorial(d) // P.class_size(datum.partitions[anchor])
     auts = [_automorphisms(rep) for rep in info.reps]
     assert all(centralizer % n == 0 for n in auts)
     total = sum(centralizer // n for n in auts)
     assert total == survivors
-    anchor_class = P.class_size(datum.partitions[info.anchor])
+    anchor_class = P.class_size(datum.partitions[anchor])
     assert anchor_class == factorial(2 * k - 1)
     frobenius = _frobenius_count(datum.partitions)
     assert total * anchor_class == frobenius
@@ -546,7 +546,7 @@ def test_genus2_closed_form_past_the_default_bound(k, strong, weak):
     # The oracle's checks of the genus-2 closed form above d = 16.  The
     # anchor is the single 2k-cycle, so the kernel walks in path order.
     datum = fam(2, 3, k, (2 * k,))
-    assert O.strong_hurwitz(datum, degree_bound=2 * k) == strong
-    assert O.weak_hurwitz(datum, O.FULL_MOVES, degree_bound=2 * k) == weak
+    assert O.strong_hurwitz(datum) == strong
+    assert O.weak_hurwitz(datum, O.FULL_MOVES) == weak
     assert F.nu_genus2(k).nu == weak
     assert len(W.enumerate_witnesses(2, 3, k, (2 * k,))) == weak
