@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
 
 Partition = tuple[int, ...]
@@ -122,24 +122,26 @@ def partitions_of(n: int, length: int | None = None) -> list[Partition]:
     return rec(n, n, length)
 
 
-@dataclass(frozen=True)
-class BranchDatum:
-    """Source genus, degree, and the three partitions of the degree."""
+class BranchDatum(namedtuple("BranchDatum", "genus degree partitions")):
+    """Source genus, degree, and the three partitions of the degree.
 
-    genus: int
-    degree: int
-    partitions: tuple[Partition, Partition, Partition]
+    An immutable named tuple, validated on construction."""
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise MalformedDatumError(f"negative genus {self.genus}")
-        if self.degree < 1:
-            raise MalformedDatumError(f"degree {self.degree} is not positive")
-        if len(self.partitions) != 3:
-            raise MalformedDatumError(f"expected 3 partitions, got {len(self.partitions)}")
-        for pi in self.partitions:
+    __slots__ = ()
+
+    def __new__(
+        cls, genus: int, degree: int, partitions: tuple[Partition, Partition, Partition]
+    ) -> BranchDatum:
+        if genus < 0:
+            raise MalformedDatumError(f"negative genus {genus}")
+        if degree < 1:
+            raise MalformedDatumError(f"degree {degree} is not positive")
+        if len(partitions) != 3:
+            raise MalformedDatumError(f"expected 3 partitions, got {len(partitions)}")
+        for pi in partitions:
             if not is_partition(pi):
                 raise MalformedDatumError(f"not a partition: {pi}")
+        return super().__new__(cls, genus, degree, partitions)
 
     @property
     def lengths(self) -> tuple[int, int, int]:
@@ -185,8 +187,7 @@ def rh_compatible(datum: BranchDatum) -> bool:
     return datum.euler_source() - sum(datum.lengths) == -datum.degree
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(namedtuple("FamilyParams", "g h k pi")):
     """Parameters (g, h, k, pi) of the studied family of data.
 
     The datum has degree ``2k`` and partitions ``[2]*k``,
@@ -194,10 +195,7 @@ class FamilyParams:
     ``len(pi) = h - 2g + 2``.
     """
 
-    g: int
-    h: int
-    k: int
-    pi: Partition
+    __slots__ = ()
 
 
 def check_family_params(g: int, h: int, k: int) -> None:

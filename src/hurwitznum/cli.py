@@ -27,15 +27,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import os
 import sys
 import time
 import zlib
-from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import formulas as F
 from . import oracle as O
@@ -69,19 +66,23 @@ CONVENTIONS_BY_NAME = {
 }
 
 
-@dataclass
 class CountResult:
-    """Counts for one datum, with provenance and agreement metadata."""
+    """Counts for one datum, with provenance and agreement metadata, filled
+    in route by route."""
 
-    datum: BranchDatum
-    nu_weak: int
-    convention: str
-    nu_strong: int | None = None
-    label: str | None = None
-    witnesses: list[W.DessinWitness] | None = None
-    intermediates: dict[str, int] | None = None
-    elapsed: float = 0.0
-    per_method: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("datum", "nu_weak", "convention", "nu_strong", "label", "witnesses",
+                 "intermediates", "elapsed", "per_method")
+
+    def __init__(self, datum: BranchDatum, nu_weak: int, convention: str) -> None:
+        self.datum = datum
+        self.nu_weak = nu_weak
+        self.convention = convention
+        self.nu_strong: int | None = None
+        self.label: str | None = None
+        self.witnesses: list[W.DessinWitness] | None = None
+        self.intermediates: dict[str, int] | None = None
+        self.elapsed = 0.0
+        self.per_method: dict[str, int] = {}
 
     @property
     def discrepant(self) -> bool:
@@ -353,6 +354,8 @@ def render_table(fmt: str = "text") -> str:
             + "\n"
         )
     if fmt == "csv":
+        import csv  # only this format needs it, so other commands start faster
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["pi", "case", "nu", "realizations"])
@@ -375,10 +378,14 @@ def _cache_version() -> str:
     (``_purekernels.py`` holds the kernel ``API``), so a cache entry written
     by other code is skipped rather than trusted."""
     # CRC-32 rather than hashlib, whose import loads OpenSSL and adds about
-    # 3.5 MB to the peak RSS of every run.
+    # 3.5 MB to the peak RSS of every run.  os.path rather than pathlib,
+    # whose import (with urllib.parse and ipaddress) would add a few
+    # milliseconds to the start-up of every command.
     crc = 0
+    here = os.path.dirname(__file__)
     for name in ("oracle.py", "perm.py", "_purekernels.py"):
-        crc = zlib.crc32(Path(__file__).with_name(name).read_bytes(), crc)
+        with open(os.path.join(here, name), "rb") as fh:
+            crc = zlib.crc32(fh.read(), crc)
     return f"{crc:08x}"
 
 

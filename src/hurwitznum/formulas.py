@@ -3,8 +3,9 @@
 Each function classifies the free partition of a family datum and returns
 the count together with a case label and the named intermediate quantities
 of the derivation, so callers can audit every step.  All arithmetic is
-exact: Python integers throughout, with rationals only as checked
-intermediates that must cancel.
+exact: Python integers throughout.  A displayed formula with a denominator
+is evaluated multiplied through by it, and the remainder of the division
+is asserted zero.
 
 The genus-1, single-part case carries three candidate closed forms that
 disagree with each other; the shipped default is the one confirmed by the
@@ -14,24 +15,23 @@ any time (see ``arbitrate_genus1_h1``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
 from math import comb
 
 from .branchdata import Partition, is_partition
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(namedtuple("FormulaResult", "nu label intermediates")):
     """A count with its classification label and derivation intermediates."""
 
-    nu: int
-    label: str | None = None
-    intermediates: dict[str, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.nu < 0:
-            raise ValueError(f"count must be non-negative, got {self.nu}")
+    def __new__(
+        cls, nu: int, label: str | None = None, intermediates: dict[str, int] | None = None
+    ) -> FormulaResult:
+        if nu < 0:
+            raise ValueError(f"count must be non-negative, got {nu}")
+        return super().__new__(cls, nu, label, {} if intermediates is None else intermediates)
 
 
 def _require_pi(h: int, k: int, pi: Partition) -> None:
@@ -308,11 +308,12 @@ def x_sum(k: int) -> int:
     if k < 5:
         raise ValueError(f"k must be at least 5, got {k}")
     total = sum(z_count(h) for h in range(4, k))
+    # The closed forms, multiplied through by their denominator 48.
     if k % 2:
-        closed = Fraction(k**4 - 10 * k**3 + 38 * k**2 - 62 * k + 33, 48)
+        closed48 = k**4 - 10 * k**3 + 38 * k**2 - 62 * k + 33
     else:
-        closed = Fraction(k**4 - 10 * k**3 + 38 * k**2 - 68 * k + 48, 48)
-    assert closed == total, f"closed form {closed} != direct sum {total} at k={k}"
+        closed48 = k**4 - 10 * k**3 + 38 * k**2 - 68 * k + 48
+    assert closed48 == 48 * total, f"closed form {closed48}/48 != direct sum {total} at k={k}"
     return total
 
 
@@ -327,11 +328,12 @@ def nu_genus2(k: int) -> FormulaResult:
     """
     if k < 5:
         raise ValueError(f"k must be at least 5, got {k}")
-    display = Fraction(
-        7 * k**4 - 70 * k**3 + 290 * k**2 - 515 * k + 288, 48
-    ) - Fraction(5, 8) * (2 * k - 5) * (k // 2)
-    assert display.denominator == 1, f"formula not an integer at k={k}"
-    nu = int(display)
+    # The displayed formula (7k^4 - 70k^3 + 290k^2 - 515k + 288)/48
+    # - (5/8)(2k - 5) floor(k/2), multiplied through by 48.
+    nu, rem = divmod(
+        7 * k**4 - 70 * k**3 + 290 * k**2 - 515 * k + 288 - 30 * (2 * k - 5) * (k // 2), 48
+    )
+    assert rem == 0, f"formula not an integer at k={k}"
 
     x = x_sum(k)
     y = comb(k - 1, 4)

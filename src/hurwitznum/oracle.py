@@ -54,8 +54,8 @@ in whatever order, and a strong count alone takes none.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate, chain, compress
 from operator import itemgetter
@@ -77,8 +77,9 @@ class InfeasibleDegreeError(RuntimeError):
     ``witnesses.MAX_GENUS2_K``."""
 
 
-@dataclass(frozen=True)
-class WeakConvention:
+class WeakConvention(
+    namedtuple("WeakConvention", "include_reflection include_slot_permutations")
+):
     """Which target-sphere moves weak equivalence is taken to include.
 
     Simultaneous conjugation is always included.  Slot permutations are only
@@ -86,8 +87,7 @@ class WeakConvention:
     type-preserving case.
     """
 
-    include_reflection: bool
-    include_slot_permutations: bool
+    __slots__ = ()
 
     def label(self) -> str:
         if self.include_reflection and self.include_slot_permutations:
@@ -108,13 +108,10 @@ ALL_CONVENTIONS = (CONJUGATION_ONLY, WITH_REFLECTION, WITH_SLOT_SWAPS, FULL_MOVE
 Triple = tuple[P.Perm, P.Perm, P.Perm]
 
 
-@dataclass(frozen=True)
-class MonodromyTriple:
+class MonodromyTriple(namedtuple("MonodromyTriple", "s1 s2 s3")):
     """A representative triple: product is the identity, slots match the datum."""
 
-    s1: P.Perm
-    s2: P.Perm
-    s3: P.Perm
+    __slots__ = ()
 
     def as_tuple(self) -> Triple:
         return (self.s1, self.s2, self.s3)
@@ -166,13 +163,15 @@ Form = tuple[P.Perm, P.Perm]
 Move = Callable[[Triple], Triple]
 
 
-@dataclass(frozen=True)
 class _AnchoredReps:
-    reps: tuple[Triple, ...]
-    forms: tuple[Form, ...]  # forms[i] is the form of reps[i]
-    # images[move][i] is the index of the representative conjugate to
-    # move(reps[i]); each move's list is filled when a count first needs it.
-    images: dict[Move, tuple[int, ...]] = field(default_factory=dict, compare=False)
+    __slots__ = ("reps", "forms", "images")
+
+    def __init__(self, reps: tuple[Triple, ...], forms: tuple[Form, ...]) -> None:
+        self.reps = reps
+        self.forms = forms  # forms[i] is the form of reps[i]
+        # images[move][i] is the index of the representative conjugate to
+        # move(reps[i]); each move's list is filled when a count first needs it.
+        self.images: dict[Move, tuple[int, ...]] = {}
 
 
 def _form(t: Triple) -> Form:
@@ -382,41 +381,35 @@ def weak_hurwitz(datum: BranchDatum, convention: WeakConvention, threads: int = 
     return _weak_orbit_count(datum, info, convention)
 
 
-@dataclass(frozen=True)
 class _ClassTable:
     """One conjugacy class of S_d, with the index, inverses and centralizer
     generators that ``unanchored_profile`` reads.  The list itself is
     ``perm.class_list``'s, which the anchored scan reads too."""
 
-    perms: tuple[P.Perm, ...]  # in class_stream order
-    index: dict[P.Perm, int]  # index[perms[i]] == i
-    inverses: tuple[P.Perm, ...]  # inverses[i] == inverse(perms[i])
-    # perms[0] is the class representative.  These generate its centralizer:
-    # the rotation of each cycle, and the pointwise swap of each pair of
-    # adjacent equal-length cycles (fixed points included).  None at d = 1.
-    centralizer: tuple[P.Perm, ...]
+    __slots__ = ("perms", "index", "inverses", "centralizer")
+
+    def __init__(self, pi: Partition) -> None:
+        d = sum(pi)
+        perms = self.perms = P.class_list(pi)  # in class_stream order
+        assert perms[0] == P.class_representative(pi)
+        self.index = {p: i for i, p in enumerate(perms)}  # index[perms[i]] == i
+        self.inverses = tuple(map(P.inverse, perms))  # inverses[i] == inverse(perms[i])
+        # perms[0] is the class representative.  These generate its
+        # centralizer: the rotation of each cycle, and the pointwise swap of
+        # each pair of adjacent equal-length cycles (fixed points included).
+        # Empty at d = 1.  Cycle i of perms[0] is range(starts[i], starts[i + 1]).
+        starts = list(accumulate(pi, initial=0))
+        centralizer = []
+        for i, length in enumerate(pi):
+            if length > 1:
+                centralizer.append(P.from_cycles(d, [range(starts[i], starts[i + 1])]))
+            if i and pi[i - 1] == length:
+                swap = [(starts[i - 1] + j, starts[i] + j) for j in range(length)]
+                centralizer.append(P.from_cycles(d, swap))
+        self.centralizer = tuple(centralizer)
 
 
-@lru_cache(maxsize=None)
-def _class_table(pi: Partition) -> _ClassTable:
-    d = sum(pi)
-    perms = P.class_list(pi)
-    assert perms[0] == P.class_representative(pi)
-    # Cycle i of perms[0] is range(starts[i], starts[i + 1]).
-    starts = list(accumulate(pi, initial=0))
-    centralizer = []
-    for i, length in enumerate(pi):
-        if length > 1:
-            centralizer.append(P.from_cycles(d, [range(starts[i], starts[i + 1])]))
-        if i and pi[i - 1] == length:
-            swap = [(starts[i - 1] + j, starts[i] + j) for j in range(length)]
-            centralizer.append(P.from_cycles(d, swap))
-    return _ClassTable(
-        perms,
-        {p: i for i, p in enumerate(perms)},
-        tuple(map(P.inverse, perms)),
-        tuple(centralizer),
-    )
+_class_table = lru_cache(maxsize=None)(_ClassTable)
 
 
 def _to_representative(p: P.Perm) -> P.Perm:

@@ -16,7 +16,7 @@ brute-force oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .branchdata import BranchDatum, Partition, is_partition
 
@@ -76,30 +76,26 @@ def canonical_params(
     return (params[0],) + min((b, c, d, e), (c, b, e, d))
 
 
-@dataclass(frozen=True)
-class DessinWitness:
+class DessinWitness(namedtuple("DessinWitness", "context family params")):
     """A graph family tag with positive edge decorations, canonicalized."""
 
-    context: Context
-    family: str
-    params: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.context not in FAMILIES:
-            raise ValueError(f"unsupported context {self.context}")
-        if self.family not in FAMILIES[self.context]:
+    def __new__(cls, context: Context, family: str, params: tuple[int, ...]) -> DessinWitness:
+        if context not in FAMILIES:
+            raise ValueError(f"unsupported context {context}")
+        if family not in FAMILIES[context]:
+            raise ValueError(f"family {family!r} not available in context {context}")
+        if len(params) != PARAM_COUNT[context]:
             raise ValueError(
-                f"family {self.family!r} not available in context {self.context}"
+                f"context {context} needs {PARAM_COUNT[context]} "
+                f"parameters, got {len(params)}"
             )
-        if len(self.params) != PARAM_COUNT[self.context]:
-            raise ValueError(
-                f"context {self.context} needs {PARAM_COUNT[self.context]} "
-                f"parameters, got {len(self.params)}"
-            )
-        if any(x < 1 for x in self.params):
-            raise ValueError(f"parameters must be positive, got {self.params}")
-        if canonical_params(self.context, self.family, self.params) != self.params:
-            raise ValueError(f"parameters {self.params} are not canonical")
+        if any(x < 1 for x in params):
+            raise ValueError(f"parameters must be positive, got {params}")
+        if canonical_params(context, family, params) != params:
+            raise ValueError(f"parameters {params} are not canonical")
+        return super().__new__(cls, context, family, params)
 
     def text(self) -> str:
         """Table text form, e.g. 'I(5,2,1)'.

@@ -209,6 +209,8 @@ def test_genus2_values():
 
 
 def test_genus2_identities():
+    # nu_genus2 evaluates the displayed formula in integers, multiplied
+    # through by 48; the Fraction forms below are the paper's, as displayed.
     for k in range(5, 201):
         res = F.nu_genus2(k)
         x = res.intermediates["x"]
@@ -247,6 +249,10 @@ def test_nu_for_family_dispatch():
 def test_formula_result_rejects_negative():
     with pytest.raises(ValueError):
         F.FormulaResult(nu=-1)
+    # Each result built without intermediates gets a dict of its own.
+    a, b = F.FormulaResult(nu=1), F.FormulaResult(nu=1)
+    a.intermediates["x"] = 1
+    assert b.intermediates == {}
 
 
 @settings(max_examples=60)

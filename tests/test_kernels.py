@@ -308,17 +308,26 @@ def test_pure_twin_never_opens_a_pool(monkeypatch):
     assert O.strong_hurwitz(datum, threads=8) == serial > 0
 
 
-def test_importing_the_package_loads_no_thread_pool():
+def test_importing_the_package_loads_only_what_start_up_needs():
+    # Every command pays for these imports before it counts anything; none
+    # of these modules is needed until a thread pool, a csv table or a
+    # cache file is asked for, or at all.  -S keeps site hooks, which may
+    # preload some of them, out of the child.
+    unwanted = (
+        "concurrent.futures", "dataclasses", "inspect", "fractions", "decimal",
+        "csv", "pathlib", "hashlib",
+    )
     code = (
-        "import sys\n"
+        f"import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
         "import hurwitznum, hurwitznum.cli, hurwitznum.formulas, hurwitznum.witnesses\n"
         "import hurwitznum.kernels\n"
-        "print('concurrent.futures' in sys.modules)"
+        f"print(sorted(m for m in {unwanted!r} if m in sys.modules))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_pure_env_forces_fallback():

@@ -181,6 +181,8 @@ def test_conventions_in_any_order(monkeypatch, datum, anchors, ladder):
             assert all(t[anchor] == r for t in scan.reps)
         for order in permutations(O.ALL_CONVENTIONS):
             fresh = O._AnchoredReps(scan.reps, scan.forms)
+            # A fresh record starts with image lists of its own.
+            assert fresh.images == {} and fresh.images is not scan.images
             monkeypatch.setattr(O, "_REPS_CACHE", {datum: fresh})
             got = {c.label(): O.weak_hurwitz(datum, c) for c in order}
             assert got == want, (anchor, [c.label() for c in order])
