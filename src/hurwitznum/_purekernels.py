@@ -48,25 +48,9 @@ target.  The leaf therefore tests only transitivity, and the union of the
 blocks is exactly the involutions that survive and pass (a) and (b), each
 block in the order its walk reaches them.
 
-The walk picks the next point to pair in one of two orders:
-
-* point order, when ``S`` is non-empty: the least free point.  Positions
-  of ``v`` then fill from 0 upwards, so test (b)'s prefix comparisons
-  decide soon after the root.
-* path order, when ``S`` is empty, as for the anchor ``(d,)`` of every
-  genus-2 datum: the free point that ends the largest open path of ``t``,
-  the least one on ties.  Every free point ends a path, since its edge out
-  is placed with its pair.  Growing the largest path closes cycles of
-  ``t`` near the root, where the closed-cycle cut drops whole subtrees; in
-  point order they close near the leaves.  On the genus-2 datum ``[18]``
-  (anchor ``(18,)``) the walk visits 127,597 nodes instead of 488,112,
-  with the same 648 survivors.
-
-Path order for every anchor, with label(b) also tested on the pairs
-``(a, b)`` with ``b < l_0 <= a``, was tried and rejected: test (b) then
-waits on unplaced prefix positions.  Over every block of every anchor with a
-non-empty ``S`` and every target, at even ``d <= 12``, the walk visited
-1,055,354 nodes instead of 475,455, and took about twice as long.
+The walk pairs the least free point next, for every anchor, so the
+positions of ``v`` fill from 0 upwards and test (b)'s prefix comparisons
+decide soon after the root.
 """
 
 from __future__ import annotations
@@ -77,7 +61,7 @@ from itertools import accumulate
 
 # Bumped whenever the signature or the semantics of the scan change; a
 # compiled twin whose `API` differs is stale and is not used.
-API = 7
+API = 8
 
 Perm = tuple[int, ...]
 
@@ -140,8 +124,7 @@ def scan_involutions_block(
     blocks; scanning each block for every ``first`` recovers every kept
     involution.  ``lens`` and ``target`` must each be parts in ``1..d``
     that sum to ``d``.  The survivors come in the order the walk reaches
-    them: point order, or path order when ``S`` is empty; the module
-    docstring says why.
+    them.
     """
     if d <= 0 or d % 2:
         raise ValueError(f"degree must be even and positive, got {d}")
@@ -249,21 +232,13 @@ def scan_involutions_block(
             if transitive():
                 survivors.append(tuple(v))
             return
-        # free comes increasing, and a = free[0] is paired next: in point
-        # order the least free point.  Path order first moves the end of
-        # the largest open path, the least one on ties, to the front.
-        if not gens:
-            sizes = [size[start[x]] for x in free]
-            j = sizes.index(max(sizes))
-            if j:
-                free = [free[j]] + free[:j] + free[j + 1 :]
+        # free comes increasing, and the least free point a is paired next.
         a = free[0]
         pa = phi[a]
         for i in range(1, len(free)):
             b = free[i]
-            # Only path order gives a >= rot, and only for lens = (d - 1, 1)
-            # with a = d - 1 != first.  The label of b < rot is then
-            # rot + d - 1, never below label(0), so skipping it is exact.
+            # Only the points of cycle 0, x < rot, have labels.  Once cycle 0
+            # is fully paired, a >= rot, and b > a has no label either.
             if a < rot:
                 if b < rot:
                     if (b - a) % rot < lab0 or (a - b) % rot < lab0:

@@ -34,16 +34,12 @@
    length off the target, and lens and target both sum to d, so the cycle
    lengths are exactly the target.  The leaf only tests transitivity.
 
-   The walk pairs the points in point order when S is non-empty: the least
-   free point next, so that the positions of v fill from 0 upwards and test
-   (b)'s prefix comparisons decide early.  When S is empty, as for the
-   anchor (d) of every genus-2 datum, it uses path order: the free point
-   that ends the largest open path of t next, the least one on ties.  The
-   cycles of t then close near the root, where the closed-cycle cut drops
-   whole subtrees, instead of near the leaves.  The survivors and their
-   order match the pure twin's.  The walk runs with the interpreter lock
-   released, so blocks scanned on several threads run in parallel.  Build
-   it next to the Python sources with `python3 setup.py build_ext --inplace`.
+   The walk pairs the least free point next, for every anchor, so that the
+   positions of v fill from 0 upwards and test (b)'s prefix comparisons
+   decide early.  The survivors and their order match the pure twin's.  The
+   walk runs with the interpreter lock released, so blocks scanned on
+   several threads run in parallel.  Build it next to the Python sources
+   with `python3 setup.py build_ext --inplace`.
 
    API must equal `_purekernels.API`; `kernels` ignores a build whose API
    differs, so bump both whenever the signature or the semantics change.
@@ -53,7 +49,7 @@
 #include <Python.h> /* also includes stdlib.h and string.h */
 
 #define MAXD 32
-#define API 7
+#define API 8
 
 typedef struct {
     int d, nroots, rot, label0, largest, ngens;
@@ -184,36 +180,26 @@ static int undecided(const Scan *s, const int *v, const int *act, const int *pos
     return n;
 }
 
-/* Pairs the next unpaired point a, in point or path order (see the header),
-   with each other unpaired point in increasing order, as the pure twin does,
-   skipping pairs that give a point of 0..rot-1 a label below label(0), pairs
-   whose edges of t add_edge refuses and pairs that test (b) cuts; act, pos
-   and nact are test (b)'s state, as in undecided().  Returns 0 when the
-   survivor buffer cannot grow. */
+/* Pairs the least unpaired point a with each later unpaired point in
+   increasing order, as the pure twin does, skipping pairs that give a point
+   of 0..rot-1 a label below label(0), pairs whose edges of t add_edge
+   refuses and pairs that test (b) cuts; act, pos and nact are test (b)'s
+   state, as in undecided().  Returns 0 when the survivor buffer cannot
+   grow. */
 static int walk(Scan *s, int *v, int *used, int npaired, const int *act, const int *pos,
                 int nact)
 {
     if (npaired == s->d)
         return !transitive(s, v) || keep(s, v);
-    int a = 0, b0 = 1; /* point 0 is always paired */
-    if (s->ngens) { /* point order: the least free point */
-        while (used[a])
-            a++;
-        b0 = a + 1;
-    } else { /* path order: the end of the largest open path, least on ties */
-        for (int x = 1, most = 0; x < s->d; x++)
-            if (!used[x] && s->size[s->start[x]] > most) {
-                most = s->size[s->start[x]];
-                a = x;
-            }
-    }
+    int a = 1; /* point 0 is always paired */
+    while (used[a])
+        a++;
     used[a] = 1;
-    for (int b = b0; b < s->d; b++) {
+    for (int b = a + 1; b < s->d; b++) {
         if (used[b])
             continue;
-        /* Only path order gives a >= rot, and only for lens = (d - 1, 1) with
-           a = d - 1 != first.  The label of b < rot is then rot + d - 1,
-           never below label(0), so skipping it is exact. */
+        /* Only the points of cycle 0, x < rot, have labels.  Once cycle 0 is
+           fully paired, a >= rot, and b > a has no label either. */
         if (a < s->rot
             && (label(s->rot, a, b) < s->label0
                 || (b < s->rot && label(s->rot, b, a) < s->label0)))

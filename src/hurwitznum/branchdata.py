@@ -143,6 +143,11 @@ class BranchDatum(namedtuple("BranchDatum", "genus degree partitions")):
                 raise MalformedDatumError(f"not a partition: {pi}")
         return super().__new__(cls, genus, degree, partitions)
 
+    @classmethod
+    def _make(cls, iterable):
+        """namedtuple's own ``_make`` skips ``__new__``; ``_replace`` calls this."""
+        return cls(*iterable)
+
     @property
     def lengths(self) -> tuple[int, int, int]:
         l1, l2, l3 = (len(pi) for pi in self.partitions)

@@ -33,6 +33,11 @@ class FormulaResult(namedtuple("FormulaResult", "nu label intermediates")):
             raise ValueError(f"count must be non-negative, got {nu}")
         return super().__new__(cls, nu, label, {} if intermediates is None else intermediates)
 
+    @classmethod
+    def _make(cls, iterable):
+        """namedtuple's own ``_make`` skips ``__new__``; ``_replace`` calls this."""
+        return cls(*iterable)
+
 
 def _require_pi(h: int, k: int, pi: Partition) -> None:
     if not is_partition(pi):

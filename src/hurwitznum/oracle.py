@@ -8,12 +8,14 @@ orbits of such triples.  Weak equivalence adds moves induced by
 homeomorphisms of the target sphere: swaps of branching points with equal
 partitions and a reflection; which moves to include is a convention.
 
-The enumeration anchors the slot whose conjugacy class is most expensive to
-scan, streams the cheapest remaining class, forces the third permutation
-from the product relation, and merges survivors by a canonical form of the
-triple.  When the streamed class consists of fixed-point-free involutions
-the scan runs through ``kernels.scan_involutions``, which owns its split
-into disjoint blocks and its thread policy.  The kernel takes
+The enumeration fixes one slot, the anchor, to its class representative,
+streams the cheapest remaining class, forces the third permutation from the
+product relation, and merges survivors by a canonical form of the triple.
+The anchor is chosen so that the streamed class is as cheap as possible,
+and among such slots by which leaves fewer survivors to complete (see
+``_choose_slots``).  When the streamed class consists of fixed-point-free
+involutions the scan runs through ``kernels.scan_involutions``, which owns
+its split into disjoint blocks and its thread policy.  The kernel takes
 ``(d, first, lens, target)``: the anchor is ``class_representative(lens)``,
 with ``lens`` the anchor slot's partition, and the kernel derives the
 anchor's point classes, which decide transitivity, from ``lens``; ``target``
@@ -25,17 +27,12 @@ rotations of the first cycle.  The least member of every centralizer orbit
 passes, so the survivors meet every conjugation orbit; an orbit may still
 keep more than one.  The kernel also cuts a partial involution as soon as
 the forced permutation's closed cycles or open paths rule out ``target``.
-For the anchors with no later cycle to rotate or swap, ``lens`` ``(d,)``
-(every genus-2 datum) and ``(d - 1, 1)``, it grows the largest open path
-first, so that cycles close and this cut acts near the root; other anchors
-place the least free point first, which the lexicographic test needs.  The
-order changes only the order of the survivors.  Each closed cycle takes a
-part of its length off ``target``, and ``lens`` and ``target`` both sum to
-d, so a complete involution that no cut removed has the forced cycle type,
-and the kernel's only test at a leaf is transitivity.  Two triples are
-conjugate exactly when their forms are equal, so the merge keeps one
-survivor per form, the least, and neither the representatives nor the
-counts depend on the thread count or the kernel's order.  The form
+Each closed cycle takes a part of its length off ``target``, and ``lens``
+and ``target`` both sum to d, so a complete involution that no cut removed
+has the forced cycle type, and the kernel's only test at a leaf is
+transitivity.  Two triples are conjugate exactly when their forms are
+equal, so the merge keeps one survivor per form, the least, and neither
+the representatives nor the counts depend on the thread count.  The form
 relabels the triple only from the points of its rarest class of (``s1``-
 cycle length, ``s2``-cycle length), a class that conjugation preserves.
 
@@ -139,23 +136,36 @@ def _forced(t: Sequence[P.Perm], slot: int) -> P.Perm:
 def _choose_slots(datum: BranchDatum, anchor: int | None = None) -> tuple[int, int, int]:
     """(anchor, stream, forced) slot indices.
 
-    Unless ``anchor`` is given, the anchor is the slot whose remaining
-    cheapest class costs least to stream, with ties broken towards the
-    largest class (the smallest centralizer, since their orders multiply to
-    d!) and then the slot index; the streamed slot is the
-    cheapest remaining class.  The counts do not depend on the anchor, but
-    the tie-break fixes it, and with it the kernel's anchor and work, for
-    data whose slots tie on streaming cost.
+    The streamed slot is the cheapest class other than the anchor's.  Unless
+    ``anchor`` is given, the anchor is a slot that makes the streamed class
+    cheapest.  The counts do not depend on the anchor, but for data whose
+    slots tie on that cost, as every family datum's do, the tie-break fixes
+    the scan's work.  Ties are broken by the anchor's class, then by the
+    least slot index:
+
+    * when the streamed class is the fixed-point-free involutions, the
+      smaller class, that is the larger centralizer (their orders multiply
+      to d!), wins: the kernel keeps about one involution per orbit of the
+      anchor's centralizer, so a larger centralizer leaves fewer to
+      complete;
+    * otherwise the larger class wins: the scan in Python keeps every
+      streamed v whose product with the anchor has the forced cycle type,
+      one per triple with product 1 whose anchor slot holds the
+      representative, so a larger anchor class leaves fewer.
     """
     sizes = [P.class_size(pi) for pi in datum.partitions]
+    involutions = (2,) * (datum.degree // 2)  # the class the kernel streams
+
+    def stream_of(a: int) -> int:
+        return min((s for s in range(3) if s != a), key=lambda s: (sizes[s], s))
 
     def anchor_key(a: int) -> tuple[int, int, int]:
-        stream_cost = min(sizes[s] for s in range(3) if s != a)
-        return (stream_cost, -sizes[a], a)
+        s = stream_of(a)
+        return (sizes[s], sizes[a] if datum.partitions[s] == involutions else -sizes[a], a)
 
     if anchor is None:
         anchor = min(range(3), key=anchor_key)
-    stream = min((s for s in range(3) if s != anchor), key=lambda s: (sizes[s], s))
+    stream = stream_of(anchor)
     return anchor, stream, 3 - anchor - stream
 
 

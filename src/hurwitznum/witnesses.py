@@ -97,6 +97,11 @@ class DessinWitness(namedtuple("DessinWitness", "context family params")):
             raise ValueError(f"parameters {params} are not canonical")
         return super().__new__(cls, context, family, params)
 
+    @classmethod
+    def _make(cls, iterable):
+        """namedtuple's own ``_make`` skips ``__new__``; ``_replace`` calls this."""
+        return cls(*iterable)
+
     def text(self) -> str:
         """Table text form, e.g. 'I(5,2,1)'.
 

@@ -76,6 +76,17 @@ def test_branch_datum_validation():
         datum.genus = 1
 
 
+def test_branch_datum_make_and_replace_validate():
+    # namedtuple's _make and _replace would skip __new__'s checks.
+    datum = B.BranchDatum(0, 4, ((2, 2), (3, 1), (3, 1)))
+    assert datum._replace(genus=1) == B.BranchDatum._make((1, 4, datum.partitions))
+    assert type(datum._replace(genus=1)) is B.BranchDatum
+    with pytest.raises(B.MalformedDatumError):
+        datum._replace(genus=-1)
+    with pytest.raises(B.MalformedDatumError):
+        B.BranchDatum._make((0, 0, datum.partitions))
+
+
 def test_rh_compatible():
     good = B.make_family_datum(0, 1, 8, (14, 1, 1))
     assert B.rh_compatible(good)

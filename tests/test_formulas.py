@@ -255,6 +255,16 @@ def test_formula_result_rejects_negative():
     assert b.intermediates == {}
 
 
+def test_formula_result_make_and_replace_validate():
+    # namedtuple's _make and _replace would skip __new__'s checks.
+    result = F.FormulaResult(nu=2, label="x")
+    assert result._replace(nu=3) == F.FormulaResult._make((3, "x", {}))
+    with pytest.raises(ValueError):
+        result._replace(nu=-1)
+    with pytest.raises(ValueError):
+        F.FormulaResult._make((-1, None, None))
+
+
 @settings(max_examples=60)
 @given(st.integers(3, 40), st.data())
 def test_nu_is_a_nonnegative_integer_everywhere(k, data):

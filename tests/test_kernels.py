@@ -30,8 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _cases(d, rng):
     """Anchored-scan configurations (lens, target) of even degree d, with lens
-    the anchor's cycle lengths: the d-cycle and (d - 1, 1), whose walks run in
-    path order, against every target, then six random anchors and targets."""
+    the anchor's cycle lengths: the d-cycle and (d - 1, 1), whose centralizer
+    sets S are empty, against every target, then six random anchors and
+    targets."""
     for lens in ((d,), (d - 1, 1)):
         for target in B.partitions_of(d):
             yield lens, tuple(target)
@@ -416,12 +417,12 @@ def test_extension_builds_and_matches_pure(tmp_path):
     _assert_rejects_bad_input(built)
     for d in (4, 6, 8, 10):
         _assert_agrees_with_pure(built, _cases(d, random.Random(d * 7919)))
-    # Path order on a clean checkout: the configuration of the `deep`
-    # benchmark, make_family_datum(2, 3, 7, (14,)), and the (11, 1) anchor
-    # against every target of degree 12.
+    # On a clean checkout: the configuration of the `deep` benchmark,
+    # make_family_datum(2, 3, 7, (14,)), and the (11, 1) anchor, whose S is
+    # empty, against every target of degree 12.
     datum = B.make_family_datum(2, 3, 7, (14,))
     anchor, _, forced = O._choose_slots(datum)
     configs = [(datum.partitions[anchor], datum.partitions[forced])]
-    assert configs == [((14,), (7, 3, 2, 2))]
+    assert configs == [((7, 3, 2, 2), (14,))]
     configs += [((11, 1), tuple(target)) for target in B.partitions_of(12)]
     _assert_agrees_with_pure(built, configs)

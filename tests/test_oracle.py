@@ -155,6 +155,24 @@ def test_anchor_override_gives_same_counts():
         assert O._weak_orbit_count(datum, info, O.FULL_MOVES) == base_weak, slot
 
 
+def test_anchor_tie_break_follows_the_scan():
+    # Every family datum streams its involution slot 0 through the kernel,
+    # so the anchor is slot 1, [2h + 1, 3, 2, ..., 2], or slot 2, pi: the one
+    # with the smaller class, that is the larger centralizer.  A genus-2
+    # datum's pi is the single 2k-cycle, whose centralizer has order 2k.
+    for k in range(5, 13):
+        assert O._choose_slots(fam(2, 3, k, (2 * k,))) == (1, 0, 2), k
+    # One of the few family data whose pi has the larger centralizer:
+    # |C(5, 3, 3, 3)| = 810 against |C(5, 3, 2, 2, 2)| = 720.
+    datum = fam(0, 2, 7, (5, 3, 3, 3))
+    assert datum.partitions[1:] == ((5, 3, 2, 2, 2), (5, 3, 3, 3))
+    assert O._choose_slots(datum) == (2, 0, 1)
+    # Streaming [3, 1, 1, 1] in Python, slots 0 and 2 tie; the larger
+    # class, [6] with 120 members against 90, leaves fewer survivors.
+    datum = B.BranchDatum(0, 6, ((4, 1, 1), (3, 1, 1, 1), (6,)))
+    assert O._choose_slots(datum) == (2, 1, 0)
+
+
 # Frozen weak counts by convention label; the first two ladders are the
 # ones pinned above, and fam(0, 1, 5, (8, 1, 1)) has one strong class.
 _LADDERS = [
@@ -521,32 +539,37 @@ def _automorphisms(t):
     return count
 
 
-@pytest.mark.parametrize("k, survivors", [(7, 1470), (8, 3920)])
+@pytest.mark.parametrize("k, survivors", [(7, 17640), (8, 246960)])
 def test_orbit_sizes_match_frobenius_count(k, survivors):
     # An independent check above the reach of unanchored_profile.  With a
     # [d] slot every triple with product 1 is transitive.  A representative
     # t stands for d!/|Aut(t)| triples, |C(r)|/|Aut(t)| of them with the
     # anchor slot holding r, since every automorphism of t commutes with r.
+    # The anchor is the slot [7, 3, 2, ..., 2], whose centralizer has order
+    # 7 * 3 * 2^(k - 5) * (k - 5)!.
     datum = fam(2, 3, k, (2 * k,))
     info = O._anchored_reps(datum, 2)
     anchor = O._choose_slots(datum)[0]
+    assert datum.partitions[anchor] == (7, 3) + (2,) * (k - 5)
     d = datum.degree
-    centralizer = factorial(d) // P.class_size(datum.partitions[anchor])
+    centralizer = 7 * 3 * 2 ** (k - 5) * factorial(k - 5)
     auts = [_automorphisms(rep) for rep in info.reps]
     assert all(centralizer % n == 0 for n in auts)
     total = sum(centralizer // n for n in auts)
     assert total == survivors
     anchor_class = P.class_size(datum.partitions[anchor])
-    assert anchor_class == factorial(2 * k - 1)
+    assert anchor_class * centralizer == factorial(d)
     frobenius = _frobenius_count(datum.partitions)
     assert total * anchor_class == frobenius
     assert sum(Fraction(factorial(d), n) for n in auts) == frobenius
 
 
-@pytest.mark.parametrize("k, strong, weak", [(9, 490, 260), (10, 882, 456)])
+@pytest.mark.parametrize(
+    "k, strong, weak", [(9, 490, 260), (10, 882, 456), (11, 1470, 760), (12, 2310, 1180)]
+)
 def test_genus2_closed_form_past_the_default_bound(k, strong, weak):
-    # The oracle's checks of the genus-2 closed form above d = 16.  The
-    # anchor is the single 2k-cycle, so the kernel walks in path order.
+    # The oracle's checks of the genus-2 closed form above d = 16, up to
+    # its cap: k = 12 is d = HARD_DEGREE_CAP.
     datum = fam(2, 3, k, (2 * k,))
     assert O.strong_hurwitz(datum) == strong
     assert O.weak_hurwitz(datum, O.FULL_MOVES) == weak

@@ -40,6 +40,16 @@ def test_witness_validation():
         W.DessinWitness((0, 1), "I", (5, 1, 2))
 
 
+def test_witness_make_and_replace_validate():
+    # namedtuple's _make and _replace would skip __new__'s checks.
+    w = W.DessinWitness((0, 1), "I", (5, 2, 1))
+    assert W.DessinWitness._make(w) == w._replace(params=(5, 2, 1)) == w
+    with pytest.raises(ValueError):
+        W.DessinWitness._make(((0, 1), "I", (0, 0, 0)))
+    with pytest.raises(ValueError):
+        w._replace(params=(5, 1, 2))
+
+
 def test_canonical_params():
     assert W.canonical_params((0, 1), "I", (5, 1, 2)) == (5, 2, 1)
     assert W.canonical_params((0, 1), "II", (1, 3, 2)) == (3, 2, 1)
