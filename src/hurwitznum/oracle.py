@@ -34,7 +34,9 @@ transitivity.  Two triples are conjugate exactly when their forms are
 equal, so the merge keeps one survivor per form, the least, and neither
 the representatives nor the counts depend on the thread count.  The form
 relabels the triple only from the points of its rarest class of (``s1``-
-cycle length, ``s2``-cycle length), a class that conjugation preserves.
+cycle length, ``s2``-cycle length, ``s2``-cycle length of the point's
+``s1``-image, ``s1``-cycle length of its ``s2``-image), a class that
+conjugation preserves.
 
 Any other streamed class is scanned in Python: each member v is kept when
 v composed with the anchor has the forced slot's cycle type and the pair
@@ -46,7 +48,9 @@ form.  Every move is one object, and the cached representatives of a datum
 keep, per move, the list of the indices the move sends them to; a
 convention's count is ``perm.orbit_count`` over the lists of its moves.
 So each image is taken once per datum, whichever conventions are asked and
-in whatever order, and a strong count alone takes none.
+in whatever order, and a strong count alone takes none.  The reflection is
+an involution up to conjugation, so its images are taken once per pair of
+representatives it exchanges.
 """
 
 from __future__ import annotations
@@ -180,7 +184,8 @@ class _AnchoredReps:
         self.reps = reps
         self.forms = forms  # forms[i] is the form of reps[i]
         # images[move][i] is the index of the representative conjugate to
-        # move(reps[i]); each move's list is filled when a count first needs it.
+        # move(reps[i]); each move's list is filled when a count first needs
+        # it, the reflection's from one image per pair it exchanges.
         self.images: dict[Move, tuple[int, ...]] = {}
 
 
@@ -190,11 +195,12 @@ def _form(t: Triple) -> Form:
     From a start point the points are relabelled in breadth-first order,
     following ``s1`` and then ``s2``; the form is the least relabelled
     ``(s1, s2)`` over the starts.  The starts are the points of the rarest
-    class of the key (length of the point's ``s1``-cycle, length of its
-    ``s2``-cycle), ties going to the least key.  Conjugating the triple maps
-    that class onto itself and only moves the start points, and ``s3`` is
-    forced by the other two, so two triples are conjugate exactly when their
-    forms are equal.
+    class of the key (length of the point p's ``s1``-cycle, length of its
+    ``s2``-cycle, length of the ``s2``-cycle of ``s1(p)``, length of the
+    ``s1``-cycle of ``s2(p)``), ties going to the least key.  Conjugating
+    the triple maps that class onto itself and only moves the start points,
+    and ``s3`` is forced by the other two, so two triples are conjugate
+    exactly when their forms are equal.
     """
     s1, s2 = t[0], t[1]
     d = len(s1)
@@ -208,12 +214,14 @@ def _form(t: Triple) -> Form:
                 while y != x:
                     cycle.append(y)
                     y = s[y]
+                length = len(cycle)
                 for y in cycle:
-                    n[y] = len(cycle)
+                    n[y] = length
         return n
 
-    classes: dict[tuple[int, int], list[int]] = {}
-    for p, key in enumerate(zip(cycle_lengths(s1), cycle_lengths(s2))):
+    n1, n2 = cycle_lengths(s1), cycle_lengths(s2)
+    classes: dict[tuple[int, int, int, int], list[int]] = {}
+    for p, key in enumerate(zip(n1, n2, map(n2.__getitem__, s1), map(n1.__getitem__, s2))):
         classes.setdefault(key, []).append(p)
     _, starts = min(classes.items(), key=lambda kv: (len(kv[1]), kv[0]))
 
@@ -232,7 +240,9 @@ def _form(t: Triple) -> Form:
                 order.append(y)
         return (tuple([label[s1[x]] for x in order]), tuple([label[s2[x]] for x in order]))
 
-    return min([relabelled(p) for p in starts])
+    if len(starts) == 1:
+        return relabelled(starts[0])
+    return min(map(relabelled, starts))
 
 
 def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) -> _AnchoredReps:
@@ -362,17 +372,31 @@ def _weak_moves(partitions: tuple[Partition, ...], convention: WeakConvention) -
 
 
 def _move_images(datum: BranchDatum, info: _AnchoredReps, move: Move) -> tuple[int, ...]:
-    """``info.images[move]``, computed on first use."""
+    """``info.images[move]``, computed on first use.
+
+    The reflection applied twice is the identity on triples, and every move
+    commutes with conjugation, so when representative i reflects into the
+    class of representative j, j reflects into that of i: j's image is set
+    with i's, and j's move and form are skipped.  The reflection's list then
+    takes one form per weak class under ``WITH_REFLECTION``.  A swap applied
+    twice is not the identity on triples, so the swaps take every image.
+    """
     if move not in info.images:
         index = {f: i for i, f in enumerate(info.forms)}
         id_d = P.identity(datum.degree)
-        images = []
-        for t in info.reps:
+        paired = move is _move_reflection
+        images = [-1] * len(info.reps)
+        for i, t in enumerate(info.reps):
+            if images[i] >= 0:
+                continue
             u = move(t)
             if __debug__:
                 assert P.compose(u[0], P.compose(u[1], u[2])) == id_d
                 assert tuple(P.cycle_type(s) for s in u) == datum.partitions
-            images.append(index[_form(u)])
+            j = images[i] = index[_form(u)]
+            if paired:
+                assert images[j] in (-1, i)
+                images[j] = i
         info.images[move] = tuple(images)
     return info.images[move]
 

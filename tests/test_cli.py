@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, caching, determinism."""
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -258,6 +259,18 @@ def test_sweep_clean_and_idempotent(capsys, tmp_path):
     assert out2 == out1
     assert "0 computed" in err2
     assert cache.read_text().splitlines() == lines
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "3e5fb6d587790ff98e888cf303934e8754f18efbfc1e0baf5baf7fd32f828f0a"),
+    ("json", "7e33bedfd6e063e44d35645df8b9605ac3cea35b724d7fd92d9fead8847ef927"),
+])
+def test_sweep_stdout_is_frozen(capsys, tmp_path, fmt, digest):
+    # Stdout is byte-deterministic; the timing line goes to stderr.
+    code, out, _ = run(capsys, "sweep", "--max-d", "12", "--format", fmt,
+                       "--cache", str(tmp_path / "cache.jsonl"))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sweep_force_recomputes(capsys, tmp_path):

@@ -5,6 +5,7 @@ Value provenance: the small counts asserted directly were verified by hand
 in this file; the convention ladders were frozen from those runs.
 """
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import factorial
@@ -114,14 +115,19 @@ def test_moves_preserve_the_datum():
         assert O._form(O._move_reflection(O._move_reflection(t))) == O._form(t)
 
 
-# _form starts only from the rarest class of (s1-cycle length, s2-cycle
-# length).  In the first and last data several classes tie for rarest in
-# some triples; in the others one class of three points is the only start
-# class, with s1 an involution in the second and third and not in the fourth.
+# _form starts only from the rarest class of the key (s1-cycle length,
+# s2-cycle length, s2-cycle length of s1(p), s1-cycle length of s2(p)), and
+# takes the least relabelling only when that class has several points.  So
+# that the least stays exercised: each (5, 3, 2, 2) datum has a
+# representative with 2 starts (the other 3 have 1), every representative
+# of fam(2, 3, 5, (10,)) has 3, and of the 105 of fam(2, 3, 7, (14,)), the
+# datum perfbench's deep workload solves, 84 have 1, 14 have 2 and 7 have 3.
+# Every representative of the first and last data has a single start.
 _FORM_DATA = [
     B.BranchDatum(1, 6, ((5, 1), (5, 1), (5, 1))),
     B.BranchDatum(0, 12, ((2,) * 6, (5, 3, 2, 2), (5, 3, 2, 2))),
     fam(2, 3, 5, (10,)),
+    fam(2, 3, 7, (14,)),
     B.BranchDatum(0, 12, ((5, 3, 2, 2), (2,) * 6, (5, 3, 2, 2))),
     B.BranchDatum(0, 6, ((4, 2), (4, 1, 1), (3, 2, 1))),
 ]
@@ -205,6 +211,47 @@ def test_conventions_in_any_order(monkeypatch, datum, anchors, ladder):
             got = {c.label(): O.weak_hurwitz(datum, c) for c in order}
             assert got == want, (anchor, [c.label() for c in order])
             assert set(fresh.images) == set(O._weak_moves(datum.partitions, O.FULL_MOVES))
+
+
+def test_reflection_images_pair_up(monkeypatch):
+    # The reflection is an involution up to conjugation, so its image list
+    # is an involution of the representatives, and _move_images takes one
+    # form per pair: as many as there are weak classes under the reflection.
+    form = O._form
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return form(t)
+
+    monkeypatch.setattr(O, "_form", counted)
+    data = [datum for _, datum in B.family_data(12)]
+    data += [datum for datum, _, _ in _LADDERS] + _FORM_DATA
+    for datum in data:
+        weak = O.weak_hurwitz(datum, O.WITH_REFLECTION)
+        info = O._scan_stream(datum, 1)
+        index = {f: i for i, f in enumerate(info.forms)}
+        looked_up = tuple(index[form(O._move_reflection(t))] for t in info.reps)
+        calls.clear()
+        im = O._move_images(datum, info, O._move_reflection)
+        assert all(im[im[i]] == i for i in range(len(im))), datum
+        assert im == looked_up, datum
+        assert len(calls) == weak == P.orbit_count(len(im), [im]), datum
+    assert O.weak_hurwitz(fam(2, 3, 7, (14,)), O.WITH_REFLECTION) == 60
+
+
+def test_representatives_are_frozen():
+    # Each representative is the least survivor of its form, so the
+    # representatives do not depend on the form's values; frozen from the
+    # lists of family_data(10), 57 data.
+    blob = repr([
+        (datum.genus, datum.degree, datum.partitions,
+         [t.as_tuple() for t in O.enumerate_triples(datum)])
+        for _, datum in B.family_data(10)
+    ])
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "f2c59f66e96698b71a5f5c4c4f089503a5c01659bcaff355fee2df1d03e26a70"
+    )
 
 
 def _generic_scan_reference(datum, anchor):
