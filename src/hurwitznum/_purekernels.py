@@ -14,24 +14,15 @@ takes the compiled twin when its `API` equals this module's.
 
 Conjugating by an element of the anchor's centralizer fixes the anchor and
 maps survivors to survivors, so the scan keeps only the survivors that pass
-two tests, and the least member of every centralizer orbit passes both:
-
-(a) the cycle-0 label rule.  For ``x < l_0`` let ``label(x) = (v[x] - x) %
-    l_0`` when ``v[x] < l_0``, else ``l_0 + v[x]``.  Rotating cycle 0 rotates
-    these labels, and ``label`` is increasing in the image of point 0 under
-    the rotated ``v``, so keeping only ``v`` with ``label(0) <= label(x)``
-    for every ``x < l_0`` compares position 0 of ``v`` with that of each
-    rotation of it.  Each label is tested when its pair is placed, so a
-    violated label cuts its whole subtree.
-(b) for every ``g`` in ``S``, ``conjugate(v, g)`` is not lexicographically
-    smaller than ``v``.  ``S`` holds every power of the rotation of each
-    cycle ``i >= 1`` and the pointwise swap of each pair of adjacent
-    equal-length cycles, fixed points and cycles 0 and 1 included; all of
-    them commute with ``r``.  The test runs as each pair is placed, and cuts
-    only when a conjugate is already strictly smaller on positions that both
-    sides have fixed, so at the last pair it is the full comparison.  ``S``
-    is built once per ``lens``; it is empty for ``lens`` ``(d,)`` and, when
-    ``d > 2``, ``(d - 1, 1)``, and for no other ``lens``.
+one symmetry test, which the least member of every centralizer orbit
+passes: for every ``g`` in ``S``, ``conjugate(v, g)`` is not
+lexicographically smaller than ``v``.  ``S`` holds every power of the
+rotation of each cycle, cycle 0 included, and the pointwise swap of each
+pair of adjacent equal-length cycles, fixed points included; all of them
+commute with ``r``.  The test runs as each pair is placed, and cuts only
+when a conjugate is already strictly smaller on positions that both sides
+have fixed, so at the last pair it is the full comparison.  ``S`` is built
+once per ``lens``.
 
 The walk also follows the composite ``t[x] = phi[v[x]]`` as it grows:
 placing the pair ``(a, b)`` adds the edges ``a -> phi[b]`` and
@@ -45,12 +36,13 @@ test: at a leaf every point lies on a closed cycle of ``t``, and each cycle
 took a part of its length off the target, so the cycle lengths are a
 sub-multiset of the target with the same sum ``d``, that is the whole
 target.  The leaf therefore tests only transitivity, and the union of the
-blocks is exactly the involutions that survive and pass (a) and (b), each
-block in the order its walk reaches them.
+blocks is exactly the involutions that survive and pass the symmetry test,
+each block in the order its walk reaches them.
 
 The walk pairs the least free point next, for every anchor, so the
-positions of ``v`` fill from 0 upwards and test (b)'s prefix comparisons
-decide soon after the root.
+positions of ``v`` fill from 0 upwards and the symmetry test's prefix
+comparisons decide soon after the root.  When ``v(0)`` lies on cycle 0,
+the rotation that moves it to 0 compares position 0 at the root pair.
 """
 
 from __future__ import annotations
@@ -61,7 +53,7 @@ from itertools import accumulate
 
 # Bumped whenever the signature or the semantics of the scan change; a
 # compiled twin whose `API` differs is stale and is not used.
-API = 8
+API = 9
 
 Perm = tuple[int, ...]
 
@@ -84,20 +76,19 @@ def _anchor(lens: tuple[int, ...]) -> tuple[Perm, Perm, int, tuple[tuple[Perm, P
         for j in range(n):
             phi[s + j] = s + (j - 1) % n
             forest[s + j] = s
-        if i:
-            for k in range(1, n):
-                g = list(range(d))
-                ginv = list(range(d))
-                for j in range(n):
-                    g[s + j] = s + (j + k) % n
-                    ginv[s + j] = s + (j - k) % n
-                gens.append((tuple(g), tuple(ginv)))
-            if lens[i - 1] == n:
-                g = list(range(d))
-                p = starts[i - 1]
-                for j in range(n):
-                    g[p + j], g[s + j] = s + j, p + j
-                gens.append((tuple(g), tuple(g)))
+        for k in range(1, n):
+            g = list(range(d))
+            ginv = list(range(d))
+            for j in range(n):
+                g[s + j] = s + (j + k) % n
+                ginv[s + j] = s + (j - k) % n
+            gens.append((tuple(g), tuple(ginv)))
+        if i and lens[i - 1] == n:
+            g = list(range(d))
+            p = starts[i - 1]
+            for j in range(n):
+                g[p + j], g[s + j] = s + j, p + j
+            gens.append((tuple(g), tuple(g)))
     return tuple(phi), tuple(forest), len(lens), tuple(gens)
 
 
@@ -118,7 +109,7 @@ def scan_involutions_block(
       class, so the generated group is transitive,
 
     where ``phi`` is the inverse of ``class_representative(lens)``; it is
-    kept when it also passes tests (a) and (b) of the module docstring.
+    kept when it also passes the symmetry test of the module docstring.
 
     Splitting the stream by the partner of point 0 gives ``d - 1`` disjoint
     blocks; scanning each block for every ``first`` recovers every kept
@@ -133,13 +124,40 @@ def scan_involutions_block(
     for name, parts in (("anchor cycle lengths", lens), ("target", target)):
         if not all(1 <= n <= d for n in parts) or sum(parts) != d:
             raise ValueError(f"{name} {tuple(parts)} must be parts in 1..{d} summing to {d}")
-    lens = tuple(lens)
-    rot = lens[0]
-    lab0 = first if first < rot else rot + first
-    if first < rot and rot - first < lab0:
-        return []
-    phi, forest, nroots, gens = _anchor(lens)
+    phi, forest, nroots, gens = _anchor(tuple(lens))
     v = [-1] * d
+    v[0] = first
+    v[first] = 0
+
+    def undecided(active: list[tuple[Perm, Perm, int]]) -> list[tuple[Perm, Perm, int]] | None:
+        """The symmetry test on the pairs placed so far, or None when it cuts.
+
+        An entry (g, g^-1, y) of active says that ``w = conjugate(v, g)``
+        equals ``v`` on the positions before y.  ``w[y] = g[v[g^-1[y]]]``,
+        so a position is fixed on both sides when ``v[y]`` and
+        ``v[g^-1[y]]`` are placed.  The result keeps the entries whose
+        comparison still waits on an unplaced point, each with the position
+        it reached; an entry is dropped once w is larger, or equal to v."""
+        out = []
+        for g, ginv, y in active:
+            while y < d:
+                vy = v[y]
+                if vy < 0 or (vx := v[ginv[y]]) < 0:
+                    out.append((g, ginv, y))
+                    break
+                wy = g[vx]
+                if wy != vy:
+                    if wy < vy:
+                        return None
+                    break
+                y += 1
+        return out
+
+    # The symmetry test on the root pair alone rejects some blocks outright,
+    # so it runs before the walk's state is built.
+    active = undecided([(g, ginv, 0) for g, ginv in gens])
+    if active is None:
+        return []
     survivors: list[tuple[int, ...]] = []
 
     # The edges of t placed so far form cycles and open paths; a point not
@@ -203,30 +221,6 @@ def scan_involutions_block(
                 comp -= 1
         return comp == 1
 
-    def undecided(active: list[tuple[Perm, Perm, int]]) -> list[tuple[Perm, Perm, int]] | None:
-        """Test (b) on the pairs placed so far, or None when it cuts.
-
-        An entry (g, g^-1, y) of active says that ``w = conjugate(v, g)``
-        equals ``v`` on the positions before y.  ``w[y] = g[v[g^-1[y]]]``,
-        so a position is fixed on both sides when ``v[y]`` and
-        ``v[g^-1[y]]`` are placed.  The result keeps the entries whose
-        comparison still waits on an unplaced point, each with the position
-        it reached; an entry is dropped once w is larger, or equal to v."""
-        out = []
-        for g, ginv, y in active:
-            while y < d:
-                vy = v[y]
-                if vy < 0 or (vx := v[ginv[y]]) < 0:
-                    out.append((g, ginv, y))
-                    break
-                wy = g[vx]
-                if wy != vy:
-                    if wy < vy:
-                        return None
-                    break
-                y += 1
-        return out
-
     def rec(free: list[int], active: list[tuple[Perm, Perm, int]]) -> None:
         if not free:
             if transitive():
@@ -237,14 +231,6 @@ def scan_involutions_block(
         pa = phi[a]
         for i in range(1, len(free)):
             b = free[i]
-            # Only the points of cycle 0, x < rot, have labels.  Once cycle 0
-            # is fully paired, a >= rot, and b > a has no label either.
-            if a < rot:
-                if b < rot:
-                    if (b - a) % rot < lab0 or (a - b) % rot < lab0:
-                        continue
-                elif rot + b < lab0:
-                    continue
             pb = phi[b]
             if not link(a, pb):
                 continue
@@ -260,9 +246,5 @@ def scan_involutions_block(
         v[a] = -1
 
     if link(0, phi[first]) and link(first, phi[0]):
-        v[0] = first
-        v[first] = 0
-        active = undecided([(g, ginv, 0) for g, ginv in gens])
-        if active is not None:
-            rec([x for x in range(1, d) if x != first], active)
+        rec([x for x in range(1, d) if x != first], active)
     return survivors

@@ -9,18 +9,13 @@
    lies on s_i .. s_i + l_i - 1 as x -> x + 1.  phi, the inverse of r, is
    derived from lens, and the anchor's point classes are the cycles of phi.
 
-   Of the survivors it keeps only those that pass two tests; the least
-   member of every orbit of the anchor's centralizer passes both.  (a) For
-   x < l_0, label(x) = (v[x] - x) mod l_0 when v[x] < l_0, else l_0 + v[x],
-   and no label is below label(0): this compares position 0 of v with that
-   of each rotation of cycle 0 applied to v.  Each label is tested when its
-   pair is placed, so a violated label cuts its whole subtree.  (b) For every
-   g in S, the conjugate g v g^-1 is not lexicographically smaller than v.
-   S holds every power of the rotation of each cycle i >= 1 and the
-   pointwise swap of each pair of adjacent equal-length cycles, fixed points
-   and cycles 0 and 1 included.  S is built once per call; it is empty for
-   lens (d) and, when d > 2, (d - 1, 1), and for no other lens.  (b) runs as
-   each pair is placed and cuts only when a conjugate is already strictly
+   Of the survivors it keeps only those that pass one symmetry test, which
+   the least member of every orbit of the anchor's centralizer passes: for
+   every g in S, the conjugate g v g^-1 is not lexicographically smaller
+   than v.  S holds every power of the rotation of each cycle, cycle 0
+   included, and the pointwise swap of each pair of adjacent equal-length
+   cycles, fixed points included.  S is built once per call.  The test runs
+   as each pair is placed and cuts only when a conjugate is already strictly
    smaller on positions that both sides have fixed, so at the last pair it
    is the full comparison.
 
@@ -35,11 +30,11 @@
    lengths are exactly the target.  The leaf only tests transitivity.
 
    The walk pairs the least free point next, for every anchor, so that the
-   positions of v fill from 0 upwards and test (b)'s prefix comparisons
-   decide early.  The survivors and their order match the pure twin's.  The
-   walk runs with the interpreter lock released, so blocks scanned on
-   several threads run in parallel.  Build it next to the Python sources
-   with `python3 setup.py build_ext --inplace`.
+   positions of v fill from 0 upwards and the symmetry test's prefix
+   comparisons decide early.  The survivors and their order match the pure
+   twin's.  The walk runs with the interpreter lock released, so blocks
+   scanned on several threads run in parallel.  Build it next to the Python
+   sources with `python3 setup.py build_ext --inplace`.
 
    API must equal `_purekernels.API`; `kernels` ignores a build whose API
    differs, so bump both whenever the signature or the semantics change.
@@ -49,12 +44,12 @@
 #include <Python.h> /* also includes stdlib.h and string.h */
 
 #define MAXD 32
-#define API 8
+#define API 9
 
 typedef struct {
-    int d, nroots, rot, label0, largest, ngens;
+    int d, nroots, largest, ngens;
     int phi[MAXD], parent[MAXD]; /* parent: cycles of phi */
-    /* S as pairs g, ginv; it has at most d - l_0 members. */
+    /* S as pairs g, ginv; it has at most d - 1 members. */
     int g[MAXD][MAXD], ginv[MAXD][MAXD];
     /* The edges of t placed so far form cycles and open paths; a point not
        yet reached is a path of one point.  A path runs from start[e] to e
@@ -72,12 +67,6 @@ static int find(int *uf, int x)
         x = uf[x];
     }
     return x;
-}
-
-/* The label of x < rot when v[x] = y; see the header. */
-static int label(int rot, int x, int y)
-{
-    return y < rot ? (y - x + rot) % rot : rot + y;
 }
 
 /* Transitivity of <anchor, v>: start from the anchor's classes and join x
@@ -150,13 +139,14 @@ static void remove_edge(Scan *s, int x, int y)
     }
 }
 
-/* Test (b) on the pairs placed so far.  Entry k of act is the index of a
-   g in S whose conjugate w = g v g^-1 equals v before position pos[k];
-   w[y] = g[v[ginv[y]]], so a position is fixed on both sides once v[y] and
-   v[ginv[y]] are placed (an unplaced point has v = -1).  Copies to act2 and
-   pos2 the entries whose comparison still waits on an unplaced point, each
-   with the position it reached, and returns their number, or -1 when a
-   conjugate is smaller.  An entry is dropped once w is larger, or equal. */
+/* The symmetry test on the pairs placed so far.  Entry k of act is the
+   index of a g in S whose conjugate w = g v g^-1 equals v before position
+   pos[k]; w[y] = g[v[ginv[y]]], so a position is fixed on both sides once
+   v[y] and v[ginv[y]] are placed (an unplaced point has v = -1).  Copies to
+   act2 and pos2 the entries whose comparison still waits on an unplaced
+   point, each with the position it reached, and returns their number, or -1
+   when a conjugate is smaller.  An entry is dropped once w is larger, or
+   equal. */
 static int undecided(const Scan *s, const int *v, const int *act, const int *pos, int nact,
                      int *act2, int *pos2)
 {
@@ -181,11 +171,10 @@ static int undecided(const Scan *s, const int *v, const int *act, const int *pos
 }
 
 /* Pairs the least unpaired point a with each later unpaired point in
-   increasing order, as the pure twin does, skipping pairs that give a point
-   of 0..rot-1 a label below label(0), pairs whose edges of t add_edge
-   refuses and pairs that test (b) cuts; act, pos and nact are test (b)'s
-   state, as in undecided().  Returns 0 when the survivor buffer cannot
-   grow. */
+   increasing order, as the pure twin does, skipping pairs whose edges of t
+   add_edge refuses and pairs that the symmetry test cuts; act, pos and nact
+   are the test's state, as in undecided().  Returns 0 when the survivor
+   buffer cannot grow. */
 static int walk(Scan *s, int *v, int *used, int npaired, const int *act, const int *pos,
                 int nact)
 {
@@ -197,12 +186,6 @@ static int walk(Scan *s, int *v, int *used, int npaired, const int *act, const i
     used[a] = 1;
     for (int b = a + 1; b < s->d; b++) {
         if (used[b])
-            continue;
-        /* Only the points of cycle 0, x < rot, have labels.  Once cycle 0 is
-           fully paired, a >= rot, and b > a has no label either. */
-        if (a < s->rot
-            && (label(s->rot, a, b) < s->label0
-                || (b < s->rot && label(s->rot, b, a) < s->label0)))
             continue;
         int pa = s->phi[a], pb = s->phi[b];
         if (!add_edge(s, a, pb))
@@ -247,8 +230,6 @@ static void set_anchor(Scan *s, const int *lens, int nlens)
             s->phi[c + j] = c + (j + n - 1) % n;
             s->parent[c + j] = c;
         }
-        if (i == 0)
-            continue;
         for (int k = 1; k < n; k++) { /* the powers of the rotation of cycle i */
             int m = add_generator(s);
             for (int j = 0; j < n; j++) {
@@ -256,7 +237,7 @@ static void set_anchor(Scan *s, const int *lens, int nlens)
                 s->ginv[m][c + j] = c + (j + n - k) % n;
             }
         }
-        if (lens[i - 1] == n) { /* the swap of cycles i - 1 and i */
+        if (i && lens[i - 1] == n) { /* the swap of cycles i - 1 and i */
             int m = add_generator(s), p = c - n;
             for (int j = 0; j < n; j++) {
                 s->g[m][p + j] = s->ginv[m][p + j] = c + j;
@@ -349,10 +330,6 @@ static PyObject *scan_involutions_block(PyObject *self, PyObject *args, PyObject
             s.largest = target[i];
     }
 
-    s.rot = lens[0];
-    s.label0 = label(s.rot, 0, first);
-    if (first < s.rot && label(s.rot, first, 0) < s.label0)
-        return PyList_New(0);
     if (!add_edge(&s, 0, s.phi[first]) || !add_edge(&s, first, s.phi[0]))
         return PyList_New(0);
     v[0] = first;

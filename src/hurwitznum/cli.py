@@ -7,14 +7,17 @@ Subcommands:
 * ``count``: compute the weak count for one datum by the closed formula,
   the witness enumeration, the brute-force oracle, or all of them with an
   agreement verdict, which is ``n/a`` and names the route when only one of
-  them could run.  The oracle runs only up to ``--max-d``.
+  them could run.  The oracle runs only up to ``--max-d``.  The formula and
+  the witnesses count the full convention's classes only, so under another
+  ``--convention`` only the oracle runs.
 * ``table``: print the full genus-0 reference table at k = 8 (21 rows:
   partition, case label, count, witnesses).
 * ``sweep``: run every in-scope datum up to a degree bound through all
-  available paths and report discrepancies.  Only the oracle counts are
-  cached, as JSON lines; formulas and witnesses are recomputed on every run,
-  so a warm cache cannot hide a change to them.  A cached count that
-  disagrees with them is recomputed before a discrepancy is reported.
+  available paths, under the full convention, and report discrepancies.
+  Only the oracle counts are cached, as JSON lines; formulas and witnesses
+  are recomputed on every run, so a warm cache cannot hide a change to them.
+  A cached count that disagrees with them is recomputed before a
+  discrepancy is reported.
 
 Each subcommand accepts only the flags it reads.
 
@@ -127,13 +130,7 @@ def build_parser() -> _Parser:
             help="output format",
         )
 
-    def add_oracle_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--convention",
-            choices=sorted(CONVENTIONS_BY_NAME),
-            default="full",
-            help="weak-equivalence move set (default full)",
-        )
+    def add_max_d(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--max-d",
             type=int,
@@ -162,7 +159,13 @@ def build_parser() -> _Parser:
         default="all",
         help="which computation path(s) to run",
     )
-    add_oracle_flags(p_count)
+    p_count.add_argument(
+        "--convention",
+        choices=sorted(CONVENTIONS_BY_NAME),
+        default="full",
+        help="weak-equivalence move set (default full; any other runs the oracle only)",
+    )
+    add_max_d(p_count)
     p_count.add_argument("--threads", type=int, default=1, help="upper bound on oracle threads")
 
     p_table = sub.add_parser("table", help="print the k=8 genus-0 reference table")
@@ -172,7 +175,7 @@ def build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep", help="cross-validate every datum up to a bound")
     p_sweep.set_defaults(run=cmd_sweep)
     add_format(p_sweep)
-    add_oracle_flags(p_sweep)
+    add_max_d(p_sweep)
     p_sweep.add_argument("--cache", help="JSON-lines cache file of oracle counts")
     p_sweep.add_argument(
         "--force", action="store_true", help="recompute even when cached"
@@ -248,9 +251,18 @@ def _compute_count(args: argparse.Namespace) -> CountResult:
     started = time.perf_counter()
     result = CountResult(datum=datum, nu_weak=0, convention=conv.label())
 
-    methods = (
-        ("formula", "witnesses", "oracle") if args.method == "all" else (args.method,)
-    )
+    # The formula and the witnesses count the full convention's classes.
+    if args.method != "all":
+        if conv is not O.FULL_MOVES and args.method != "oracle":
+            raise ValueError(
+                f"--method {args.method} counts under the full convention only, "
+                f"not {conv.label()}; use --method oracle"
+            )
+        methods = (args.method,)
+    elif conv is O.FULL_MOVES:
+        methods = ("formula", "witnesses", "oracle")
+    else:
+        methods = ("oracle",)
     for method in methods:
         if method == "formula":
             if args.method == "all" and (args.genus, args.h) not in FORMULA_SHAPES:
@@ -287,8 +299,8 @@ def _compute_count(args: argparse.Namespace) -> CountResult:
             result.per_method["oracle"] = O.weak_hurwitz(datum, conv, threads=args.threads)
     if not result.per_method:
         raise O.InfeasibleDegreeError(
-            f"no route can count {datum}: (g={args.genus}, h={args.h}) has no closed "
-            f"form or witness family, and degree {datum.degree} exceeds --max-d {args.max_d}"
+            f"no route can count {datum} under {conv.label()}: no closed form or witness "
+            f"family counts it, and degree {datum.degree} exceeds --max-d {args.max_d}"
         )
     result.nu_weak = result.per_method.get("oracle", next(iter(result.per_method.values())))
     result.elapsed = time.perf_counter() - started
@@ -426,7 +438,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"sweep bound d={args.max_d} exceeds the oracle feasibility cap "
             f"HARD_DEGREE_CAP = {O.HARD_DEGREE_CAP}"
         )
-    conv = CONVENTIONS_BY_NAME[args.convention]
+    conv = O.FULL_MOVES  # the convention the formula and the witnesses count
     label = conv.label()
     path = args.cache or os.environ.get(CACHE_ENV) or None
     cache: dict[tuple[BranchDatum, str], int] = {}

@@ -21,9 +21,8 @@ with ``lens`` the anchor slot's partition, and the kernel derives the
 anchor's point classes, which decide transitivity, from ``lens``; ``target``
 is the forced slot's cycle type.  Conjugating by the anchor's centralizer
 maps survivors to survivors, and the kernel keeps only those that no
-rotation of a later anchor cycle or swap of adjacent equal-length cycles
-makes lexicographically smaller, and that pass a label rule for the
-rotations of the first cycle.  The least member of every centralizer orbit
+rotation of an anchor cycle or swap of adjacent equal-length cycles makes
+lexicographically smaller.  The least member of every centralizer orbit
 passes, so the survivors meet every conjugation orbit; an orbit may still
 keep more than one.  The kernel also cuts a partial involution as soon as
 the forced permutation's closed cycles or open paths rule out ``target``.

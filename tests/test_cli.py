@@ -167,9 +167,10 @@ def test_missing_pi_below_window_names_the_window(capsys, argv, message):
         ("sweep", "--max-d", "4", "--threads", "2"),
         ("count", "--genus", "0", "--h", "1", "--k", "4", "--pi", "6,1,1",
          "--convention", "auto"),
+        ("sweep", "--max-d", "4", "--convention", "conjugation"),
     ],
     ids=["check-threads", "check-max-d", "table-convention", "count-csv",
-         "sweep-csv", "sweep-threads", "count-auto"],
+         "sweep-csv", "sweep-threads", "count-auto", "sweep-convention"],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -546,6 +547,26 @@ def test_convention_flag(capsys):
                        "--method", "oracle", "--convention", "full")
     assert code == 0
     assert "nu: 3" in out
+
+
+def test_count_all_under_another_convention_runs_the_oracle_only(capsys):
+    # The formula and the witnesses count full classes: 2 here, where
+    # conjugation alone leaves 3, which is not a discrepancy.
+    code, out, _ = run(capsys, "count", "--genus", "0", "--h", "2", "--k", "6",
+                       "--pi", "5,4,2,1", "--convention", "conjugation")
+    assert code == 0
+    assert "nu (formula)" not in out and "nu (witnesses)" not in out
+    assert "nu (oracle): 3" in out
+    assert out.endswith("agreement: n/a (oracle only)\n")
+
+
+@pytest.mark.parametrize("method", ["formula", "witnesses"])
+def test_count_route_without_the_convention_exits_one(capsys, method):
+    code, out, err = run(capsys, "count", "--genus", "0", "--h", "2", "--k", "6",
+                         "--pi", "5,4,2,1", "--method", method, "--convention", "swaps")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: --method {method} ") and "conjugation+swaps" in err
 
 
 def _readme_commands() -> list[list[str]]:

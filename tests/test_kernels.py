@@ -30,9 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _cases(d, rng):
     """Anchored-scan configurations (lens, target) of even degree d, with lens
-    the anchor's cycle lengths: the d-cycle and (d - 1, 1), whose centralizer
-    sets S are empty, against every target, then six random anchors and
-    targets."""
+    the anchor's cycle lengths: the d-cycle and (d - 1, 1), whose sets S hold
+    only the powers of the rotation of cycle 0, against every target, then
+    six random anchors and targets."""
     for lens in ((d,), (d - 1, 1)):
         for target in B.partitions_of(d):
             yield lens, tuple(target)
@@ -79,19 +79,12 @@ def _adjacent_swaps(lens):
 
 
 def _canonical(v, lens):
-    """The kept involutions: (a) the cycle-0 label rule, and (b) no conjugate
-    by a power of the rotation of a cycle i >= 1, or by an adjacent
-    equal-length swap, is lexicographically smaller than v."""
-    c = lens[0]
-
-    def label(x):
-        return (v[x] - x) % c if v[x] < c else c + v[x]
-
-    if not all(label(0) <= label(x) for x in range(c)):
-        return False
+    """The kept involutions: no conjugate by a power of the rotation of any
+    cycle, cycle 0 included, or by an adjacent equal-length swap, is
+    lexicographically smaller than v."""
     d = len(v)
     group = _adjacent_swaps(lens)
-    for cycle in _cycles(lens)[1:]:
+    for cycle in _cycles(lens):
         group += _rotation_powers(d, cycle)
     return all(P.conjugate(v, g) >= v for g in group)
 
@@ -131,8 +124,8 @@ def _blocks(impl, lens, target):
     return [v for first in range(1, d) for v in impl.scan_involutions_block(d, first, lens, target)]
 
 
-# Anchors with equal-length cycles and fixed points, which test (b)'s swaps
-# and rotations of the later cycles act on.
+# Anchors with equal-length cycles and fixed points, which the symmetry
+# test's swaps and rotations of the later cycles act on.
 EQUAL_CYCLE_ANCHORS = [(2, 2, 2, 2), (3, 3, 2), (2, 2, 1, 1), (4, 4, 2), (2, 2, 2, 1, 1)]
 
 
@@ -164,9 +157,11 @@ def test_rotation_keeps_a_member_of_every_orbit(d):
             assert not kept.isdisjoint(_centralizer_orbit(v, lens)), (d, trial, lens, v)
 
 
-def test_rotation_prunes_blocks_whose_partner_label_is_smaller():
-    # With lens = (c,) and first < c, point first gets label c - first,
-    # below label(0) = first when c - first < first, so the whole block goes.
+def test_rotation_prunes_blocks_whose_rotation_conjugate_is_smaller():
+    # With lens = (c,) and first < c, conjugating by the rotation that moves
+    # first to 0 gives an involution that pairs 0 with c - first.  It is
+    # smaller than v, which pairs 0 with first, when c - first < first, so
+    # the root pair decides and the whole block goes.
     d = 8
     lens, target = (d,), (5, 2, 1)
     stream = _brute_stream(lens)[target]
@@ -205,15 +200,17 @@ def test_survivors_are_valid_involutions():
     "anchor",
     [(3, 3), (2, 2, 2), (3, 2, 1), (4, 2, 2), (3, 3, 1, 1),
      (4,), (6,), (8,), (10,), (3, 1), (5, 1), (7, 1), (9, 1),
-     (4, 4), (5, 3), (6, 2), (4, 3, 2, 1), (7, 2, 1), *EQUAL_CYCLE_ANCHORS],
+     (4, 4), (5, 3), (6, 2), (4, 3, 2, 1), (7, 2, 1), (7, 3), (7, 3, 2),
+     *EQUAL_CYCLE_ANCHORS],
     ids=lambda parts: "-".join(map(str, parts)),
 )
 def test_block_union_is_the_full_stream(anchor):
     # Several anchor cycles: the kernel's point classes, derived from lens,
     # decide which survivors are transitive.  The blocks keep exactly the
-    # members of the stream that pass tests (a) and (b), built here from
+    # members of the stream that pass the symmetry test, built here from
     # lens alone; a scan that prunes a kept survivor, or keeps another
-    # involution, fails here.
+    # involution, fails here.  (7, 3) and (7, 3, 2) are the anchors of the
+    # genus-2 data at d = 10 and 12, the family of the `deep` benchmark.
     by_type = _brute_stream(anchor)
     for target in B.partitions_of(sum(anchor)):
         target = tuple(target)
@@ -418,11 +415,18 @@ def test_extension_builds_and_matches_pure(tmp_path):
     for d in (4, 6, 8, 10):
         _assert_agrees_with_pure(built, _cases(d, random.Random(d * 7919)))
     # On a clean checkout: the configuration of the `deep` benchmark,
-    # make_family_datum(2, 3, 7, (14,)), and the (11, 1) anchor, whose S is
-    # empty, against every target of degree 12.
-    datum = B.make_family_datum(2, 3, 7, (14,))
-    anchor, _, forced = O._choose_slots(datum)
-    configs = [(datum.partitions[anchor], datum.partitions[forced])]
-    assert configs == [((7, 3, 2, 2), (14,))]
+    # make_family_datum(2, 3, 7, (14,)), then every configuration the
+    # oracle scans on the family data of `hurwitz sweep --max-d 12`, and
+    # the (11, 1) anchor, whose S holds only the rotations of cycle 0,
+    # against every target of degree 12.
+    configs = []
+    for datum in [B.make_family_datum(2, 3, 7, (14,))] + [
+        datum for _, datum in B.family_data(12)
+    ]:
+        anchor, stream, forced = O._choose_slots(datum)
+        assert datum.partitions[stream] == (2,) * (datum.degree // 2)
+        configs.append((datum.partitions[anchor], datum.partitions[forced]))
+    assert configs[0] == ((7, 3, 2, 2), (14,))
+    assert len(configs) == 1 + 98
     configs += [((11, 1), tuple(target)) for target in B.partitions_of(12)]
     _assert_agrees_with_pure(built, configs)
