@@ -32,9 +32,8 @@
    The walk pairs the least free point next, for every anchor, so that the
    positions of v fill from 0 upwards and the symmetry test's prefix
    comparisons decide early.  The survivors and their order match the pure
-   twin's.  The walk runs with the interpreter lock released, so blocks
-   scanned on several threads run in parallel.  Build it next to the Python
-   sources with `python3 setup.py build_ext --inplace`.
+   twin's.  Build it next to the Python sources with
+   `python3 setup.py build_ext --inplace`.
 
    API must equal `_purekernels.API`; `kernels` ignores a build whose API
    differs, so bump both whenever the signature or the semantics change.
@@ -341,9 +340,7 @@ static PyObject *scan_involutions_block(PyObject *self, PyObject *args, PyObject
         nact2 = undecided(&s, v, act, pos, s.ngens, act2, pos2);
     if (nact2 < 0)
         return PyList_New(0);
-    Py_BEGIN_ALLOW_THREADS
     ok = walk(&s, v, used, 2, act2, pos2, nact2);
-    Py_END_ALLOW_THREADS
     result = ok ? survivor_list(&s)
                 : PyErr_Format(PyExc_MemoryError, "survivor buffer allocation failed");
     free(s.out);

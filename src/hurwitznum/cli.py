@@ -7,7 +7,8 @@ Subcommands:
 * ``count``: compute the weak count for one datum by the closed formula,
   the witness enumeration, the brute-force oracle, or all of them with an
   agreement verdict, which is ``n/a`` and names the route when only one of
-  them could run.  The oracle runs only up to ``--max-d``.  The formula and
+  them could run.  The oracle runs only up to ``--max-d`` and its own cap
+  ``oracle.HARD_DEGREE_CAP``.  The formula and
   the witnesses count the full convention's classes only, so under another
   ``--convention`` only the oracle runs.
 * ``table``: print the full genus-0 reference table at k = 8 (21 rows:
@@ -166,7 +167,6 @@ def build_parser() -> _Parser:
         help="weak-equivalence move set (default full; any other runs the oracle only)",
     )
     add_max_d(p_count)
-    p_count.add_argument("--threads", type=int, default=1, help="upper bound on oracle threads")
 
     p_table = sub.add_parser("table", help="print the k=8 genus-0 reference table")
     p_table.set_defaults(run=cmd_table)
@@ -243,8 +243,6 @@ def _check_max_d(args: argparse.Namespace) -> None:
 
 
 def _compute_count(args: argparse.Namespace) -> CountResult:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     _check_max_d(args)
     datum, pi = _datum_from_args(args)
     conv = CONVENTIONS_BY_NAME[args.convention]
@@ -289,18 +287,21 @@ def _compute_count(args: argparse.Namespace) -> CountResult:
             result.witnesses = ws
             result.per_method["witnesses"] = len(ws)
         else:
-            if datum.degree > args.max_d:
-                if args.method != "all":
-                    raise O.InfeasibleDegreeError(
-                        f"degree {datum.degree} exceeds --max-d {args.max_d}"
-                    )
+            # --method all skips the oracle where it would refuse; --method
+            # oracle refuses, above --max-d here and above the cap in oracle.
+            if args.method == "all" and datum.degree > min(args.max_d, O.HARD_DEGREE_CAP):
                 continue
-            result.nu_strong = O.strong_hurwitz(datum, threads=args.threads)
-            result.per_method["oracle"] = O.weak_hurwitz(datum, conv, threads=args.threads)
+            if datum.degree > args.max_d:
+                raise O.InfeasibleDegreeError(
+                    f"degree {datum.degree} exceeds --max-d {args.max_d}"
+                )
+            result.nu_strong = O.strong_hurwitz(datum)
+            result.per_method["oracle"] = O.weak_hurwitz(datum, conv)
     if not result.per_method:
         raise O.InfeasibleDegreeError(
             f"no route can count {datum} under {conv.label()}: no closed form or witness "
-            f"family counts it, and degree {datum.degree} exceeds --max-d {args.max_d}"
+            f"family counts it, and degree {datum.degree} exceeds the oracle's bound "
+            f"min(--max-d {args.max_d}, HARD_DEGREE_CAP = {O.HARD_DEGREE_CAP})"
         )
     result.nu_weak = result.per_method.get("oracle", next(iter(result.per_method.values())))
     result.elapsed = time.perf_counter() - started
@@ -401,11 +402,11 @@ def _cache_version() -> str:
     return f"{crc:08x}"
 
 
-def _load_cache(path: str, version: str) -> tuple[dict[tuple[BranchDatum, str], int], int]:
-    """The cached oracle counts by (datum, convention label), and the number
-    of lines skipped because they are not an entry of this ``version`` with
-    a datum, a convention and a non-negative integer ``nu``."""
-    cache: dict[tuple[BranchDatum, str], int] = {}
+def _load_cache(path: str, version: str) -> tuple[dict[BranchDatum, int], int]:
+    """The cached oracle counts by datum, and the number of lines skipped
+    because they are not an entry of this ``version`` with a datum and a
+    non-negative integer ``nu``."""
+    cache: dict[BranchDatum, int] = {}
     skipped = 0
     if not os.path.exists(path):
         return cache, skipped
@@ -418,10 +419,10 @@ def _load_cache(path: str, version: str) -> tuple[dict[tuple[BranchDatum, str], 
                 # UnicodeDecodeError is a ValueError; a deeply nested line
                 # makes the decoder raise RecursionError.
                 entry = json.loads(line.decode("utf-8"))
-                key = (BranchDatum.from_json(entry["datum"]), entry["convention"])
+                datum = BranchDatum.from_json(entry["datum"])
                 nu = entry["nu"]
                 if type(nu) is int and nu >= 0 and entry["version"] == version:
-                    cache[key] = nu
+                    cache[datum] = nu
                     continue
             except (KeyError, TypeError, ValueError, RecursionError):
                 pass
@@ -441,7 +442,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     conv = O.FULL_MOVES  # the convention the formula and the witnesses count
     label = conv.label()
     path = args.cache or os.environ.get(CACHE_ENV) or None
-    cache: dict[tuple[BranchDatum, str], int] = {}
+    cache: dict[BranchDatum, int] = {}
     if path is not None:
         try:
             version = _cache_version()
@@ -469,14 +470,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     values["witnesses"] = len(
                         W.enumerate_witnesses(params.g, params.h, params.k, params.pi)
                     )
-                key = (datum, label)
                 # A cached count that disagrees with the formula or the
                 # witnesses is recomputed before it is reported, so a stale or
                 # hand-edited line cannot invent a discrepancy.
                 if (
                     not args.force
-                    and key in cache
-                    and all(v == cache[key] for v in values.values())
+                    and datum in cache
+                    and all(v == cache[datum] for v in values.values())
                 ):
                     reused += 1
                 else:
@@ -485,22 +485,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     # A recount that only confirms the cached line adds none,
                     # so neither a real discrepancy nor --force grows the file
                     # on every run.
-                    is_new = cache.get(key) != nu
-                    cache[key] = nu
+                    is_new = cache.get(datum) != nu
+                    cache[datum] = nu
                     if path is not None and is_new:
                         # Written and flushed at once, so an interrupted sweep
                         # keeps every entry it computed.
                         if sink is None:
                             sink = stack.enter_context(open(path, "a", encoding="utf-8"))
-                        entry = {
-                            "datum": datum.to_json(),
-                            "nu": cache[key],
-                            "convention": label,
-                            "version": version,
-                        }
+                        entry = {"datum": datum.to_json(), "nu": nu, "version": version}
                         sink.write(json.dumps(entry, sort_keys=True) + "\n")
                         sink.flush()
-                values["oracle"] = cache[key]
+                values["oracle"] = cache[datum]
                 ok = len(set(values.values())) == 1
                 shape = (params.g, params.h)
                 per_shape.setdefault(shape, [0, 0])

@@ -1,4 +1,4 @@
-"""Backend selection for the involution scan kernel, and its thread policy.
+"""Backend selection for the involution scan kernel.
 
 Prefers the compiled extension `_speed` when it is importable and its `API`
 matches the pure Python twin `_purekernels`, falling back to the twin
@@ -43,17 +43,7 @@ def backend() -> str:
 
 
 def scan_involutions(
-    d: int, lens: tuple[int, ...], target: tuple[int, ...], threads: int = 1
+    d: int, lens: tuple[int, ...], target: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
-    """`scan_involutions_block` for ``first = 1 .. d-1``, concatenated.  Only the
-    compiled twin releases the interpreter lock, so only it uses up to ``threads`` threads."""
-
-    def block(first: int) -> list[tuple[int, ...]]:
-        return scan_involutions_block(d, first, lens, target)
-
-    if threads > 1 and _impl is not _purekernels:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return [v for vs in pool.map(block, range(1, d)) for v in vs]
-    return [v for first in range(1, d) for v in block(first)]
+    """`scan_involutions_block` for ``first = 1 .. d-1``, concatenated."""
+    return [v for first in range(1, d) for v in scan_involutions_block(d, first, lens, target)]

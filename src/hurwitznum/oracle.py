@@ -15,7 +15,7 @@ The anchor is chosen so that the streamed class is as cheap as possible,
 and among such slots by which leaves fewer survivors to complete (see
 ``_choose_slots``).  When the streamed class consists of fixed-point-free
 involutions the scan runs through ``kernels.scan_involutions``, which owns
-its split into disjoint blocks and its thread policy.  The kernel takes
+its split into disjoint blocks.  The kernel takes
 ``(d, first, lens, target)``: the anchor is ``class_representative(lens)``,
 with ``lens`` the anchor slot's partition, and the kernel derives the
 anchor's point classes, which decide transitivity, from ``lens``; ``target``
@@ -30,8 +30,7 @@ Each closed cycle takes a part of its length off ``target``, and ``lens``
 and ``target`` both sum to d, so a complete involution that no cut removed
 has the forced cycle type, and the kernel's only test at a leaf is
 transitivity.  Two triples are conjugate exactly when their forms are
-equal, so the merge keeps one survivor per form, the least, and neither
-the representatives nor the counts depend on the thread count.  The form
+equal, so the merge keeps one survivor per form, the least.  The form
 relabels the triple only from the points of its rarest class of (``s1``-
 cycle length, ``s2``-cycle length, ``s2``-cycle length of the point's
 ``s1``-image, ``s1``-cycle length of its ``s2``-image), a class that
@@ -244,7 +243,7 @@ def _form(t: Triple) -> Form:
     return min(map(relabelled, starts))
 
 
-def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) -> _AnchoredReps:
+def _scan_stream(datum: BranchDatum, anchor: int | None = None) -> _AnchoredReps:
     """Anchored representatives; ``anchor`` forces the anchor slot, which
     tests use to check that counts do not depend on the choice."""
     d = datum.degree
@@ -263,7 +262,7 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
     if tau_s == (2,) * (d // 2):
         # The kernel derives r from lens, so it prunes the involutions under
         # the centralizer of exactly this r.
-        survivors = map(completed, kernels.scan_involutions(d, lens, tau_f, threads))
+        survivors = map(completed, kernels.scan_involutions(d, lens, tau_f))
     else:
         survivors = []
         id_d = P.identity(d)
@@ -297,7 +296,7 @@ def _scan_stream(datum: BranchDatum, threads: int, anchor: int | None = None) ->
 _REPS_CACHE: dict[BranchDatum, _AnchoredReps] = {}
 
 
-def _anchored_reps(datum: BranchDatum, threads: int) -> _AnchoredReps:
+def _anchored_reps(datum: BranchDatum) -> _AnchoredReps:
     """The datum's representatives, scanned on the first call.  Only a
     compatible datum of degree at most ``HARD_DEGREE_CAP`` is scanned, so a
     cached one needs no check."""
@@ -310,7 +309,7 @@ def _anchored_reps(datum: BranchDatum, threads: int) -> _AnchoredReps:
                 f"degree {datum.degree} exceeds the oracle's cap HARD_DEGREE_CAP = "
                 f"{HARD_DEGREE_CAP}"
             )
-        info = _REPS_CACHE[datum] = _scan_stream(datum, threads)
+        info = _REPS_CACHE[datum] = _scan_stream(datum)
     return info
 
 
@@ -318,17 +317,22 @@ def enumerate_triples(datum: BranchDatum, threads: int = 1) -> list[MonodromyTri
     """One representative per simultaneous-conjugation orbit of valid triples.
 
     Each representative is the least scan survivor, in the lexicographic
-    order on image-tuple triples, with its canonical form; the survivors and
-    so the representatives do not depend on the thread count, and the list
-    is sorted, so the output is deterministic.
+    order on image-tuple triples, with its canonical form, and the list is
+    sorted, so the output is deterministic.  ``threads`` has no effect: it
+    is kept for ``perfbench``'s ``deep`` workload, which passes it, until
+    the next change to that workload.
     """
-    info = _anchored_reps(datum, threads)
+    info = _anchored_reps(datum)
     return [MonodromyTriple(*t) for t in info.reps]
 
 
 def strong_hurwitz(datum: BranchDatum, threads: int = 1) -> int:
-    """Number of strong equivalence classes (simultaneous-conjugation orbits)."""
-    return len(_anchored_reps(datum, threads).reps)
+    """Number of strong equivalence classes (simultaneous-conjugation orbits).
+
+    ``threads`` has no effect: it is kept for ``perfbench``'s ``deep``
+    workload, which passes it, until the next change to that workload.
+    """
+    return len(_anchored_reps(datum).reps)
 
 
 def _move_swap(i: int, j: int, t: Triple) -> Triple:
@@ -409,8 +413,10 @@ def weak_hurwitz(datum: BranchDatum, convention: WeakConvention, threads: int = 
     """Number of weak equivalence classes under the given convention.
 
     Never larger than the strong count, and zero exactly when it is zero.
+    ``threads`` has no effect: it is kept for ``perfbench``'s ``deep``
+    workload, which passes it, until the next change to that workload.
     """
-    info = _anchored_reps(datum, threads)
+    info = _anchored_reps(datum)
     return _weak_orbit_count(datum, info, convention)
 
 

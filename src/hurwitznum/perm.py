@@ -3,8 +3,8 @@
 A permutation of degree ``d`` is a tuple ``p`` of length ``d`` whose entry
 ``p[x]`` is the image of the point ``x``; points are 0-indexed and the tuple
 is a bijection on ``{0, ..., d-1}``.  Dense image tuples keep the inner loops
-of the enumeration code cache friendly and make permutations hashable values
-that are safe to share between threads.
+of the enumeration code cache friendly and make permutations hashable
+values.
 """
 
 from __future__ import annotations

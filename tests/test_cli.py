@@ -168,9 +168,12 @@ def test_missing_pi_below_window_names_the_window(capsys, argv, message):
         ("count", "--genus", "0", "--h", "1", "--k", "4", "--pi", "6,1,1",
          "--convention", "auto"),
         ("sweep", "--max-d", "4", "--convention", "conjugation"),
+        ("count", "--genus", "0", "--h", "1", "--k", "4", "--pi", "6,1,1",
+         "--threads", "2"),
     ],
     ids=["check-threads", "check-max-d", "table-convention", "count-csv",
-         "sweep-csv", "sweep-threads", "count-auto", "sweep-convention"],
+         "sweep-csv", "sweep-threads", "count-auto", "sweep-convention",
+         "count-threads"],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -191,15 +194,6 @@ def test_huge_integers_are_rejected_before_allocating(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_threads_below_one_exit_one(capsys, threads):
-    code, out, err = run(capsys, "count", "--genus", "0", "--h", "1", "--k", "4",
-                         "--pi", "6,1,1", "--method", "oracle", "--threads", threads)
-    assert code == 1
-    assert out == ""
-    assert err == f"error: --threads must be at least 1, got {threads}\n"
 
 
 @pytest.mark.parametrize("max_d", ["0", "-5"])
@@ -528,6 +522,32 @@ def test_count_all_without_closed_form_runs_the_oracle(capsys, argv, nu):
     assert "nu (formula)" not in out and "nu (witnesses)" not in out
     assert f"nu (oracle): {nu}  [strong " in out
     assert out.endswith(f"nu: {nu}\nagreement: n/a (oracle only)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, nu",
+    [
+        (("--genus", "2", "--h", "3", "--k", "13", "--max-d", "26"), 1770),
+        (("--genus", "0", "--h", "1", "--k", "13", "--pi", "24,1,1", "--max-d", "30"), 1),
+    ],
+    ids=["genus2-k13", "genus0-k13"],
+)
+def test_count_all_skips_the_oracle_above_its_cap(capsys, argv, nu):
+    # --max-d above HARD_DEGREE_CAP: the formula and the witnesses still run.
+    code, out, _ = run(capsys, "count", *argv, "--method", "all")
+    assert code == 0
+    assert f"nu (formula): {nu}  [case " in out
+    assert f"nu (witnesses): {nu}  [" in out
+    assert "nu (oracle)" not in out
+    assert out.endswith(f"nu: {nu}\nagreement: yes\n")
+
+
+def test_count_oracle_above_its_cap_is_infeasible(capsys):
+    code, out, err = run(capsys, "count", "--genus", "2", "--h", "3", "--k", "13",
+                         "--max-d", "26", "--method", "oracle")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("infeasible: ") and "HARD_DEGREE_CAP" in err
 
 
 def test_count_all_with_no_route_is_infeasible(capsys):

@@ -266,51 +266,31 @@ def test_backend_names():
         assert _speed.backend() == "compiled"
 
 
-def test_pool_returns_the_inline_list(monkeypatch):
-    # A stand-in for a live compiled twin that delegates to the pure one
-    # forces the pool branch without a built extension.
-    import concurrent.futures
-
-    pools = []
-
-    class CountedPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
-    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(backend=lambda: "compiled"))
-    monkeypatch.setattr(kernels, "scan_involutions_block", _purekernels.scan_involutions_block)
-    for d in (2, 4, 6, 8, 10):
-        for lens, target in _cases(d, random.Random(d * 131)):
-            inline = kernels.scan_involutions(d, lens, target, 1)
-            assert inline == _blocks(_purekernels, lens, target)
-            for threads in (2, 8):
-                assert kernels.scan_involutions(d, lens, target, threads) == inline
-    assert pools and set(pools) == {2, 8}
-
-
-def test_pure_twin_never_opens_a_pool(monkeypatch):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("the pure twin opened a thread pool")
+def test_scan_starts_no_thread(monkeypatch):
+    # A stand-in for a live compiled twin that delegates to the pure one: the
+    # scan runs its blocks inline on every backend, whatever ``threads`` says.
+    import threading
 
     datum = B.make_family_datum(2, 3, 6, (12,))
-    monkeypatch.setattr(kernels, "_impl", _purekernels)
+    monkeypatch.setattr(O, "_REPS_CACHE", {})
+    inline = (O.strong_hurwitz(datum), O.weak_hurwitz(datum, O.FULL_MOVES))
+
+    def no_thread(self):
+        raise AssertionError("the scan started a thread")
+
+    monkeypatch.setattr(O, "_REPS_CACHE", {})
+    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(backend=lambda: "compiled"))
     monkeypatch.setattr(kernels, "scan_involutions_block", _purekernels.scan_involutions_block)
-    monkeypatch.setattr(O, "_REPS_CACHE", {})
-    serial = O.strong_hurwitz(datum, threads=1)
-    monkeypatch.setattr(O, "_REPS_CACHE", {})
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    assert O.strong_hurwitz(datum, threads=8) == serial > 0
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert O.strong_hurwitz(datum, threads=8) == inline[0] > 0
+    assert O.weak_hurwitz(datum, O.FULL_MOVES, threads=8) == inline[1]
 
 
 def test_importing_the_package_loads_only_what_start_up_needs():
     # Every command pays for these imports before it counts anything; none
-    # of these modules is needed until a thread pool, a csv table or a
-    # cache file is asked for, or at all.  -S keeps site hooks, which may
-    # preload some of them, out of the child.
+    # of these modules is needed until a csv table or a cache file is asked
+    # for, or at all.  -S keeps site hooks, which may preload some of them,
+    # out of the child.
     unwanted = (
         "concurrent.futures", "dataclasses", "inspect", "fractions", "decimal",
         "csv", "pathlib", "hashlib",

@@ -154,7 +154,7 @@ def test_anchor_override_gives_same_counts():
     base_strong = O.strong_hurwitz(datum)
     base_weak = O.weak_hurwitz(datum, O.FULL_MOVES)
     for slot in range(3):
-        info = O._scan_stream(datum, 1, slot)
+        info = O._scan_stream(datum, slot)
         r = P.class_representative(datum.partitions[slot])
         assert all(t[slot] == r for t in info.reps), slot
         assert len(info.reps) == base_strong, slot
@@ -199,7 +199,7 @@ def test_conventions_in_any_order(monkeypatch, datum, anchors, ladder):
     if datum.degree <= 8:
         assert O.unanchored_profile(datum)[1] == want
     for anchor in anchors:
-        scan = O._scan_stream(datum, 1, anchor)
+        scan = O._scan_stream(datum, anchor)
         if anchor is not None:
             r = P.class_representative(datum.partitions[anchor])
             assert all(t[anchor] == r for t in scan.reps)
@@ -229,7 +229,7 @@ def test_reflection_images_pair_up(monkeypatch):
     data += [datum for datum, _, _ in _LADDERS] + _FORM_DATA
     for datum in data:
         weak = O.weak_hurwitz(datum, O.WITH_REFLECTION)
-        info = O._scan_stream(datum, 1)
+        info = O._scan_stream(datum)
         index = {f: i for i, f in enumerate(info.forms)}
         looked_up = tuple(index[form(O._move_reflection(t))] for t in info.reps)
         calls.clear()
@@ -296,7 +296,7 @@ def test_generic_scan_matches_its_reference():
     cases = list(_generic_scan_cases())
     assert len({datum for datum, _ in cases}) > 100
     for datum, anchor in cases:
-        info = O._scan_stream(datum, 1, anchor)
+        info = O._scan_stream(datum, anchor)
         assert (info.reps, info.forms) == _generic_scan_reference(datum, anchor), (datum, anchor)
 
 
@@ -422,7 +422,7 @@ def test_generic_scan_above_degree_8_lists_nothing():
     _, stream, _ = O._choose_slots(datum, 0)
     assert datum.partitions[stream] == (3, 3, 2, 2)
     P.class_list.cache_clear()
-    info = O._scan_stream(datum, 1, anchor=0)
+    info = O._scan_stream(datum, anchor=0)
     assert P.class_list.cache_info().currsize == 0
     assert len(info.reps) == O.strong_hurwitz(datum) == 1
 
@@ -595,7 +595,7 @@ def test_orbit_sizes_match_frobenius_count(k, survivors):
     # The anchor is the slot [7, 3, 2, ..., 2], whose centralizer has order
     # 7 * 3 * 2^(k - 5) * (k - 5)!.
     datum = fam(2, 3, k, (2 * k,))
-    info = O._anchored_reps(datum, 2)
+    info = O._anchored_reps(datum)
     anchor = O._choose_slots(datum)[0]
     assert datum.partitions[anchor] == (7, 3) + (2,) * (k - 5)
     d = datum.degree
