@@ -196,6 +196,17 @@ def test_huge_integers_are_rejected_before_allocating(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_one(capsys, threads):
+    # count runs on one thread and no longer reads --threads: every value,
+    # one below one included, is rejected as an unknown flag.
+    code, out, err = run(capsys, "count", "--genus", "0", "--h", "1", "--k", "4",
+                         "--pi", "6,1,1", "--method", "oracle", "--threads", threads)
+    assert code == 1
+    assert out == ""
+    assert err.endswith(f"error: unrecognized arguments: --threads {threads}\n")
+
+
 @pytest.mark.parametrize("max_d", ["0", "-5"])
 @pytest.mark.parametrize(
     "argv",
