@@ -7,7 +7,7 @@ in this file; the convention ladders were frozen from those runs.
 
 import hashlib
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import accumulate, combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -174,7 +174,7 @@ def test_anchor_tie_break_follows_the_scan():
     assert datum.partitions[1:] == ((5, 3, 2, 2, 2), (5, 3, 3, 3))
     assert O._choose_slots(datum) == (2, 0, 1)
     # Streaming [3, 1, 1, 1] in Python, slots 0 and 2 tie; the larger
-    # class, [6] with 120 members against 90, leaves fewer survivors.
+    # class, [6] with 120 members against 90, leaves fewer candidates.
     datum = B.BranchDatum(0, 6, ((4, 1, 1), (3, 1, 1, 1), (6,)))
     assert O._choose_slots(datum) == (2, 1, 0)
 
@@ -279,7 +279,7 @@ def _generic_scan_reference(datum, anchor):
 
 
 def _generic_scan_cases():
-    for d in range(1, 6):
+    for d in range(1, 7):
         for combo in combinations_with_replacement(B.partitions_of(d), 3):
             chi = sum(len(p) for p in combo) - d
             if chi % 2 or chi > 2:
@@ -293,11 +293,58 @@ def _generic_scan_cases():
 
 
 def test_generic_scan_matches_its_reference():
-    cases = list(_generic_scan_cases())
-    assert len({datum for datum, _ in cases}) > 100
+    # Every case up to d = 6, the degree perfbench's certify workload
+    # reaches, and one streamed case at d = 10, above perm.LISTED_DEGREE.
+    cases = list(_generic_scan_cases()) + [(fam(0, 1, 5, (8, 1, 1)), 0)]
+    assert len(cases) == 994 and len({datum for datum, _ in cases}) == 385
     for datum, anchor in cases:
         info = O._scan_stream(datum, anchor)
         assert (info.reps, info.forms) == _generic_scan_reference(datum, anchor), (datum, anchor)
+
+
+def _anchor_symmetries(lens):
+    """S of class_representative(lens): every power of the rotation of each
+    cycle, and the pointwise swap of each pair of adjacent equal-length
+    cycles."""
+    d = sum(lens)
+    starts = list(accumulate(lens, initial=0))
+    cycles = [range(a, b) for a, b in zip(starts, starts[1:])]
+    out = []
+    for i, cycle in enumerate(cycles):
+        rho = g = P.from_cycles(d, [cycle])
+        for _ in range(len(cycle) - 1):
+            out.append(g)
+            g = P.compose(rho, g)
+        if i and lens[i - 1] == lens[i]:
+            out.append(P.from_cycles(d, list(zip(cycles[i - 1], cycle))))
+    return out
+
+
+def test_generic_scan_forms_only_symmetry_survivors(monkeypatch):
+    # The scan forms only triples whose first slot other than the anchor no
+    # element of S conjugates to a smaller tuple; the least triple of each
+    # centralizer orbit passes, and it is the one the merge keeps.
+    form = O._form
+    formed = []
+
+    def counted(t):
+        formed.append(t)
+        return form(t)
+
+    monkeypatch.setattr(O, "_form", counted)
+    for datum, anchor in _generic_scan_cases():
+        a, s, f = O._choose_slots(datum, anchor)
+        lens = datum.partitions[a]
+        r = P.class_representative(lens)
+        symmetries = _anchor_symmetries(lens)
+        assert all(P.compose(g, r) == P.compose(r, g) for g in symmetries), lens
+        start = len(formed)
+        O._scan_stream(datum, anchor)
+        for t in formed[start:]:
+            p = t[min(s, f)]
+            assert all(P.conjugate(p, g) >= p for g in symmetries), (datum, anchor, t)
+    # Without the test the scan forms every transitive candidate: 17,487.
+    assert len(formed) == 2382 < 17487
 
 
 def test_threads_do_not_change_counts():
