@@ -46,7 +46,7 @@ def is_partition(parts: tuple[int, ...]) -> bool:
     )
 
 
-_PART_TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
+_PART_TOKEN = re.compile(r"^([0-9]+)(?:\^([0-9]+))?$")
 
 
 def parse_partition(text: str) -> Partition:

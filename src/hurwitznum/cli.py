@@ -405,11 +405,14 @@ def _cache_version() -> str:
 def _load_cache(path: str, version: str) -> tuple[dict[BranchDatum, int], int]:
     """The cached oracle counts by datum, and the number of lines skipped
     because they are not an entry of this ``version`` with a datum and a
-    non-negative integer ``nu``."""
+    non-negative integer ``nu``.  A path that exists but is not a regular
+    file, such as ``/dev/full`` with its endless line, is refused unopened."""
     cache: dict[BranchDatum, int] = {}
     skipped = 0
     if not os.path.exists(path):
         return cache, skipped
+    if not os.path.isfile(path):
+        raise OSError(f"{path}: not a regular file")
     with open(path, "rb") as fh:
         for line in fh:
             line = line.strip()

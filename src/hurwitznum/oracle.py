@@ -49,9 +49,10 @@ form.  Every move is one object, and the cached representatives of a datum
 keep, per move, the list of the indices the move sends them to; a
 convention's count is ``perm.orbit_count`` over the lists of its moves.
 So each image is taken once per datum, whichever conventions are asked and
-in whatever order, and a strong count alone takes none.  The reflection is
-an involution up to conjugation, so its images are taken once per pair of
-representatives it exchanges.
+in whatever order, and a strong count alone takes none.  Every move is an
+involution up to conjugation (the pure mapping class group of the
+thrice-punctured sphere is trivial), so its images are taken once per pair
+of representatives it exchanges.
 """
 
 from __future__ import annotations
@@ -161,17 +162,14 @@ def _choose_slots(datum: BranchDatum, anchor: int | None = None) -> tuple[int, i
     """
     sizes = [P.class_size(pi) for pi in datum.partitions]
     involutions = (2,) * (datum.degree // 2)  # the class the kernel streams
-
-    def stream_of(a: int) -> int:
-        return min((s for s in range(3) if s != a), key=lambda s: (sizes[s], s))
-
-    def anchor_key(a: int) -> tuple[int, int, int]:
-        s = stream_of(a)
-        return (sizes[s], sizes[a] if datum.partitions[s] == involutions else -sizes[a], a)
-
-    if anchor is None:
-        anchor = min(range(3), key=anchor_key)
-    stream = stream_of(anchor)
+    best = None
+    for a in range(3) if anchor is None else (anchor,):
+        i, j = (1, 2) if a == 0 else (0, 3 - a)  # the other two slots, in order
+        s = j if sizes[j] < sizes[i] else i
+        key = (sizes[s], sizes[a] if datum.partitions[s] == involutions else -sizes[a])
+        if best is None or key < best[0]:  # ties go to the least anchor
+            best = (key, a, s)
+    _, anchor, stream = best
     return anchor, stream, 3 - anchor - stream
 
 
@@ -187,7 +185,7 @@ class _AnchoredReps:
         self.forms = forms  # forms[i] is the form of reps[i]
         # images[move][i] is the index of the representative conjugate to
         # move(reps[i]); each move's list is filled when a count first needs
-        # it, the reflection's from one image per pair it exchanges.
+        # it, from one image per pair of representatives the move exchanges.
         self.images: dict[Move, tuple[int, ...]] = {}
 
 
@@ -358,14 +356,9 @@ def _move_swap(i: int, j: int, t: Triple) -> Triple:
 
 
 def _move_reflection(t: Triple) -> Triple:
-    """The reversal move; each slot is conjugate to the inverse of the old one."""
-    s1, s2, s3 = t
-    u = P.compose(s1, s2)
-    return (
-        P.inverse(s1),
-        P.compose(s1, P.compose(P.inverse(s2), P.inverse(s1))),
-        P.compose(u, P.compose(P.inverse(s3), P.inverse(u))),
-    )
+    """The reversal move, (s1^-1, s2^-1, s2 s1): an involution on triples."""
+    s1, s2, _ = t
+    return (P.inverse(s1), P.inverse(s2), P.compose(s2, s1))
 
 
 # One object per move, so that a move keys its image lists in every call.
@@ -387,17 +380,16 @@ def _weak_moves(partitions: tuple[Partition, ...], convention: WeakConvention) -
 def _move_images(datum: BranchDatum, info: _AnchoredReps, move: Move) -> tuple[int, ...]:
     """``info.images[move]``, computed on first use.
 
-    The reflection applied twice is the identity on triples, and every move
-    commutes with conjugation, so when representative i reflects into the
-    class of representative j, j reflects into that of i: j's image is set
-    with i's, and j's move and form are skipped.  The reflection's list then
-    takes one form per weak class under ``WITH_REFLECTION``.  A swap applied
-    twice is not the identity on triples, so the swaps take every image.
+    Every move applied twice is a conjugation: the reflection squares to the
+    identity, and swap (0, 1), (1, 2) or (0, 2) twice is conjugation by s3,
+    s1^-1 or s2^-1.  Every move commutes with conjugation, so when
+    representative i moves into the class of representative j, j moves into
+    that of i: j's image is set with i's, and j's move and form are skipped.
+    So a move's list takes one form per orbit of that move alone.
     """
     if move not in info.images:
         index = {f: i for i, f in enumerate(info.forms)}
         id_d = P.identity(datum.degree)
-        paired = move is _move_reflection
         images = [-1] * len(info.reps)
         for i, t in enumerate(info.reps):
             if images[i] >= 0:
@@ -407,9 +399,8 @@ def _move_images(datum: BranchDatum, info: _AnchoredReps, move: Move) -> tuple[i
                 assert P.compose(u[0], P.compose(u[1], u[2])) == id_d
                 assert tuple(P.cycle_type(s) for s in u) == datum.partitions
             j = images[i] = index[_form(u)]
-            if paired:
-                assert images[j] in (-1, i)
-                images[j] = i
+            assert images[j] in (-1, i)
+            images[j] = i
         info.images[move] = tuple(images)
     return info.images[move]
 
@@ -496,8 +487,9 @@ def unanchored_profile(
     Every conjugation orbit of triples with product one is reached, with no
     anchor, kernel or canonical form.  Each slot's class is listed by
     ``perm.class_list`` and indexed by a dict from permutation to index.
-    Slot c has the largest class, and the product relation forces it from
-    the two slots x and y after it.
+    Slot x has the largest class, ties going to the larger slot index; the
+    slot y after it runs over its class, and the product relation forces the
+    slot c before it.
 
     Slot x is fixed to its class representative x0 = ``tx.perms[0]``, whose
     cycles fill consecutive points, and y runs over its whole class; a pair
@@ -509,6 +501,9 @@ def unanchored_profile(
     the other.  So from each new key, in increasing order, the walk closes
     its orbit under conjugation of y by generators of C(x0), which fix x0
     and keep the walk in the row.  Each orbit's root is its least key.
+    Fixing the largest class leaves the fewest triples in the row, N over
+    the size of x's class for N triples with product one, and the smallest
+    centralizer, so the walk is shortest.
 
     The class lists, indices, inverses and centralizer generators are
     built once per partition and shared by every later call in the process.
@@ -518,8 +513,10 @@ def unanchored_profile(
 
     Weak orbits are further closed under each convention's moves.  A move
     image u is brought back to the row by the conjugator g that lays the
-    cycles of u[x] out as x0's, and its orbit is looked up by the index of
-    u[y] conjugated by g.  Conjugation and the moves preserve transitivity,
+    cycles of u[x] out as x0's, taken once per distinct u[x] in the call,
+    and its orbit is looked up by the index of u[y] conjugated by g.  Every
+    image is taken, so the anchored path's pairing of a move's images is
+    checked here.  Conjugation and the moves preserve transitivity,
     so it is checked once per strong orbit and only transitive orbits are
     counted.  The enumeration is shared across all conventions, and each
     move's images are taken once: every convention's moves are among
@@ -540,8 +537,8 @@ def unanchored_profile(
     if d > P.LISTED_DEGREE:
         raise InfeasibleDegreeError(f"unanchored enumeration is for tiny degrees, got d={d}")
     tables = [_class_table(pi) for pi in datum.partitions]
-    c = max(range(3), key=lambda s: (len(tables[s].perms), s))
-    x, y = (c + 1) % 3, (c + 2) % 3
+    x = max(range(3), key=lambda s: (len(tables[s].perms), s))
+    c, y = (x + 2) % 3, (x + 1) % 3
     tx, ty = tables[x], tables[y]
 
     # The forced slot is _forced(t, c) = compose(inverse(t[y]), inverse(t[x])),
@@ -578,10 +575,9 @@ def unanchored_profile(
                 if image not in orbit:
                     orbit[image] = key
                     todo.append(image)
-        t = triple(key)
-        if P.is_transitive([t[x], t[y]], d):
+        if P.is_transitive([tx.perms[0], ty.perms[key]], d):
             roots[key] = len(reps)
-            reps.append(t)
+            reps.append(triple(key))
     strong = len(reps)
 
     # The moves are conjugation-equivariant, so they send whole conjugation
@@ -589,11 +585,12 @@ def unanchored_profile(
     # weak closure.  They preserve transitivity, so every image lands in a
     # transitive orbit.
     images: dict[Move, list[int]] = {}
+    to_representative = lru_cache(maxsize=None)(_to_representative)
     for move in _weak_moves(datum.partitions, FULL_MOVES):
         images[move] = []
         for t in reps:
             u = move(t)
-            g = _to_representative(u[x])
+            g = to_representative(u[x])
             images[move].append(roots[orbit[ty.index[P.conjugate(u[y], g)]]])
     weak = {
         convention.label(): P.orbit_count(

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import resource
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ from hurwitznum import witnesses as W
 
 GOLDEN = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -458,6 +463,42 @@ def test_sweep_unwritable_cache_is_io_error(capsys, tmp_path):
     code, _, err = run(capsys, "sweep", "--max-d", "6", "--cache", str(target))
     assert code == 4
     assert "cache write failed" in err
+
+
+def _one_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("path", ["/dev/full", "/dev/null", None], ids=["full", "null", "dir"])
+def test_sweep_cache_that_is_not_a_regular_file_is_io_error(tmp_path, path):
+    # /dev/full reads as one endless line of NUL bytes, so a sweep that
+    # opened it would never end, and its pending line would grow without
+    # bound.  The sweep runs in a child with a timeout and a 1 GiB
+    # address-space limit, so that such a regression fails instead of
+    # hanging or filling the host's memory.
+    path = path or str(tmp_path)
+    if not os.path.exists(path):
+        pytest.skip(f"{path} does not exist on this platform")
+    path_entries = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    out = subprocess.run(
+        [sys.executable, "-m", "hurwitznum", "sweep", "--max-d", "4", "--cache", path],
+        capture_output=True, text=True, env=env, timeout=20,
+        preexec_fn=_one_gib_address_space,
+    )
+    assert out.returncode == 4
+    assert out.stdout == ""
+    assert out.stderr == f"cache read failed: {path}: not a regular file\n"
+
+
+@pytest.mark.parametrize("pi", ["٦,1,1", "6,1,١", "６,1,1", "6,1^２"])
+def test_partition_digits_are_ascii(capsys, pi):
+    # With ASCII digits each of these is 6,1,1, a datum with one class.
+    code, out, err = run(capsys, "count", "--genus", "0", "--h", "1", "--k", "4", "--pi", pi)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed partition entry ")
+    assert run(capsys, "count", "--genus", "0", "--h", "1", "--k", "4", "--pi", "6,1^2")[0] == 0
 
 
 def test_sweep_over_bound_is_infeasible(capsys):

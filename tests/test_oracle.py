@@ -101,18 +101,45 @@ def test_convention_ladder_on_coincident_datum():
     }
 
 
+def _criterion_09_data():
+    """Acceptance criterion 09's data: every admissible datum with
+    2 <= d <= 6 in every slot order, then one slot order per datum at d = 7."""
+    out = []
+    for d in range(2, 8):
+        for combo in combinations_with_replacement(B.partitions_of(d), 3):
+            chi = sum(len(p) for p in combo) - d
+            if chi % 2 == 0 and chi <= 2:
+                for pis in sorted(set(permutations(combo))) if d <= 6 else [combo]:
+                    out.append(B.BranchDatum((2 - chi) // 2, d, pis))
+    return out
+
+
 def test_moves_preserve_the_datum():
-    datum = B.BranchDatum(1, 6, ((5, 1), (5, 1), (5, 1)))
-    for rep in O.enumerate_triples(datum):
-        t = rep.as_tuple()
-        for u in (O._move_reflection(t), O._move_swap(0, 1, t), O._move_swap(1, 2, t)):
-            s1, s2, s3 = u
-            assert P.compose(s1, P.compose(s2, s3)) == P.identity(6)
-            assert P.cycle_type(s1) == (5, 1)
-            assert P.cycle_type(s2) == (5, 1)
-            assert P.cycle_type(s3) == (5, 1)
-        # the reversal is an involution up to simultaneous conjugation
-        assert O._form(O._move_reflection(O._move_reflection(t))) == O._form(t)
+    # Each move keeps the product relation and carries the cycle types with
+    # its slots.  The reflection is an involution on triples, and a swap of
+    # slots (0, 1), (1, 2) or (0, 2) applied twice is conjugation by s3,
+    # s1^-1 or s2^-1: the facts that let _move_images pair every move's
+    # images.
+    data = _criterion_09_data() + [datum for _, datum in B.family_data(10)]
+    assert len(data) == 539 + 57
+    for datum in data:
+        identity = P.identity(datum.degree)
+        for rep in O.enumerate_triples(datum):
+            t = rep.as_tuple()
+            s1, s2, s3 = t
+            u = O._move_reflection(t)
+            assert P.compose(u[0], P.compose(u[1], u[2])) == identity
+            assert tuple(map(P.cycle_type, u)) == datum.partitions
+            assert O._move_reflection(u) == t
+            for (i, j), g in (((0, 1), s3), ((1, 2), P.inverse(s1)), ((0, 2), P.inverse(s2))):
+                u = O._move_swap(i, j, t)
+                assert P.compose(u[0], P.compose(u[1], u[2])) == identity
+                swapped = list(datum.partitions)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                assert list(map(P.cycle_type, u)) == swapped
+                twice = O._move_swap(i, j, u)
+                assert twice == tuple(P.conjugate(s, g) for s in t), (datum, i, j)
+                assert O._form(twice) == O._form(t)
 
 
 # _form starts only from the rarest class of the key (s1-cycle length,
@@ -238,6 +265,38 @@ def test_reflection_images_pair_up(monkeypatch):
         assert im == looked_up, datum
         assert len(calls) == weak == P.orbit_count(len(im), [im]), datum
     assert O.weak_hurwitz(fam(2, 3, 7, (14,)), O.WITH_REFLECTION) == 60
+
+
+def test_swap_images_pair_up(monkeypatch):
+    # A swap applied twice is a conjugation, so each swap's image list is an
+    # involution of the representatives, and _move_images takes one form per
+    # orbit of that swap alone: over the 209 data with equal partitions, 662
+    # forms where taking every image would take 934.
+    form = O._form
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return form(t)
+
+    monkeypatch.setattr(O, "_form", counted)
+    data = _criterion_09_data() + [datum for _, datum in B.family_data(12)]
+    data += [datum for datum, _, _ in _LADDERS] + _FORM_DATA
+    data = [datum for datum in data if len(set(datum.partitions)) < 3]
+    formed = taken = 0
+    for datum in data:
+        info = O._scan_stream(datum)
+        index = {f: i for i, f in enumerate(info.forms)}
+        for swap in O._weak_moves(datum.partitions, O.WITH_SLOT_SWAPS):
+            looked_up = tuple(index[form(swap(t))] for t in info.reps)
+            calls.clear()
+            im = O._move_images(datum, info, swap)
+            assert all(im[im[i]] == i for i in range(len(im))), datum
+            assert im == looked_up, datum
+            assert len(calls) == P.orbit_count(len(im), [im]), datum
+            formed += len(calls)
+            taken += len(im)
+    assert (len(data), formed, taken) == (209, 662, 934)
 
 
 def test_representatives_are_frozen():
@@ -377,6 +436,26 @@ def test_unanchored_profile_matches_anchored():
             )
     strong, weak = O.unanchored_profile(B.BranchDatum(2, 5, ((5,), (5,), (5,))))
     assert (strong, weak[O.WITH_SLOT_SWAPS.label()]) == (4, 2)
+
+
+def test_unanchored_walk_fixes_the_largest_class(monkeypatch):
+    # unanchored_profile fixes the slot with the largest class, which leaves
+    # the fewest triples in its row and the smallest centralizer to walk
+    # them under.  Over criterion 09's 397 data with d <= 6 it then
+    # conjugates 6,594 times, its move images included; fixing the slot
+    # after the largest class took 24,446.
+    conjugate = P.conjugate
+    calls = [0]
+
+    def counted(p, g):
+        calls[0] += 1
+        return conjugate(p, g)
+
+    monkeypatch.setattr(P, "conjugate", counted)
+    data = [datum for datum in _criterion_09_data() if datum.degree <= 6]
+    for datum in data:
+        O.unanchored_profile(datum)
+    assert (len(data), calls[0]) == (397, 6594)
 
 
 def test_unanchored_profile_skips_intransitive_triples():
