@@ -3,10 +3,10 @@
 The hot loop of the oracle scans every fixed-point-free involution ``v`` of
 degree ``d`` and keeps those whose forced companion permutation has a
 prescribed cycle type while generating a transitive group together with the
-anchored permutation.  The scan takes ``(d, first, lens, target)``: the
-anchor is ``r = class_representative(lens)``, whose cycle ``i`` lies on the
-points ``s_i .. s_i + l_i - 1`` as ``x -> x + 1``, and the kernel derives
-its inverse ``phi`` from ``lens``.  The anchor's point classes, which decide
+anchored permutation.  The scan takes ``(d, lens, target)``: the anchor
+is ``r = class_representative(lens)``, whose cycle ``i`` lies on the points
+``s_i .. s_i + l_i - 1`` as ``x -> x + 1``, and the kernel derives its
+inverse ``phi`` from ``lens``.  The anchor's point classes, which decide
 transitivity, are the cycles of ``phi``.  This module implements that scan
 in plain Python and is the reference the compiled twin `_speed` (built from
 `_speed.c`) is tested against; `kernels` picks one at import time, and only
@@ -35,9 +35,9 @@ These cuts drop only non-survivors.  They are also the whole cycle-type
 test: at a leaf every point lies on a closed cycle of ``t``, and each cycle
 took a part of its length off the target, so the cycle lengths are a
 sub-multiset of the target with the same sum ``d``, that is the whole
-target.  The leaf therefore tests only transitivity, and the union of the
-blocks is exactly the involutions that survive and pass the symmetry test,
-each block in the order its walk reaches them.
+target.  The leaf therefore tests only transitivity, and the scan keeps
+exactly the involutions that survive and pass the symmetry test, in the
+order one walk from the empty pairing reaches them.
 
 The walk pairs the least free point next, for every anchor, so the
 positions of ``v`` fill from 0 upwards and the symmetry test's prefix
@@ -53,7 +53,7 @@ from itertools import accumulate
 
 # Bumped whenever the signature or the semantics of the scan change; a
 # compiled twin whose `API` differs is stale and is not used.
-API = 9
+API = 10
 
 Perm = tuple[int, ...]
 
@@ -92,13 +92,11 @@ def _anchor(lens: tuple[int, ...]) -> tuple[Perm, Perm, int, tuple[tuple[Perm, P
     return tuple(phi), tuple(forest), len(lens), tuple(gens)
 
 
+# Named for the old split into blocks; perfbench's tracer wraps it by name.
 def scan_involutions_block(
-    d: int,
-    first: int,
-    lens: Sequence[int],
-    target: Sequence[int],
+    d: int, lens: Sequence[int], target: Sequence[int]
 ) -> list[tuple[int, ...]]:
-    """Surviving canonical involutions ``v`` with ``v(0) = first``.
+    """Surviving canonical fixed-point-free involutions ``v`` of degree ``d``.
 
     A fixed-point-free involution ``v`` of degree ``d`` survives iff
 
@@ -111,23 +109,17 @@ def scan_involutions_block(
     where ``phi`` is the inverse of ``class_representative(lens)``; it is
     kept when it also passes the symmetry test of the module docstring.
 
-    Splitting the stream by the partner of point 0 gives ``d - 1`` disjoint
-    blocks; scanning each block for every ``first`` recovers every kept
-    involution.  ``lens`` and ``target`` must each be parts in ``1..d``
-    that sum to ``d``.  The survivors come in the order the walk reaches
-    them.
+    ``lens`` and ``target`` must each be parts in ``1..d`` that sum to
+    ``d``.  The survivors come in the order the walk reaches them, so in
+    increasing order of ``v(0)``.
     """
     if d <= 0 or d % 2:
         raise ValueError(f"degree must be even and positive, got {d}")
-    if not 1 <= first < d:
-        raise ValueError(f"first partner {first} out of range")
     for name, parts in (("anchor cycle lengths", lens), ("target", target)):
         if not all(1 <= n <= d for n in parts) or sum(parts) != d:
             raise ValueError(f"{name} {tuple(parts)} must be parts in 1..{d} summing to {d}")
     phi, forest, nroots, gens = _anchor(tuple(lens))
     v = [-1] * d
-    v[0] = first
-    v[first] = 0
 
     def undecided(active: list[tuple[Perm, Perm, int]]) -> list[tuple[Perm, Perm, int]] | None:
         """The symmetry test on the pairs placed so far, or None when it cuts.
@@ -153,11 +145,6 @@ def scan_involutions_block(
                 y += 1
         return out
 
-    # The symmetry test on the root pair alone rejects some blocks outright,
-    # so it runs before the walk's state is built.
-    active = undecided([(g, ginv, 0) for g, ginv in gens])
-    if active is None:
-        return []
     survivors: list[tuple[int, ...]] = []
 
     # The edges of t placed so far form cycles and open paths; a point not
@@ -245,6 +232,5 @@ def scan_involutions_block(
             unlink(a, pb)
         v[a] = -1
 
-    if link(0, phi[first]) and link(first, phi[0]):
-        rec([x for x in range(1, d) if x != first], active)
+    rec(list(range(d)), [(g, ginv, 0) for g, ginv in gens])
     return survivors

@@ -61,6 +61,10 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
 CACHE_ENV = "HURWITZ_CACHE"
+# A cache line of this many bytes or more, its newline not counted, is
+# skipped without being held whole; an entry at the oracle's degree cap
+# takes under 400.
+CACHE_LINE_LIMIT = 4096
 
 CONVENTIONS_BY_NAME = {
     "full": O.FULL_MOVES,
@@ -405,8 +409,10 @@ def _cache_version() -> str:
 def _load_cache(path: str, version: str) -> tuple[dict[BranchDatum, int], int]:
     """The cached oracle counts by datum, and the number of lines skipped
     because they are not an entry of this ``version`` with a datum and a
-    non-negative integer ``nu``.  A path that exists but is not a regular
-    file, such as ``/dev/full`` with its endless line, is refused unopened."""
+    non-negative integer ``nu``.  A line of ``CACHE_LINE_LIMIT`` bytes or
+    more is skipped without being held whole.  A path that exists but is not
+    a regular file, such as ``/dev/full`` with its endless line, is refused
+    unopened."""
     cache: dict[BranchDatum, int] = {}
     skipped = 0
     if not os.path.exists(path):
@@ -414,7 +420,12 @@ def _load_cache(path: str, version: str) -> tuple[dict[BranchDatum, int], int]:
     if not os.path.isfile(path):
         raise OSError(f"{path}: not a regular file")
     with open(path, "rb") as fh:
-        for line in fh:
+        while line := fh.readline(CACHE_LINE_LIMIT):
+            if len(line) == CACHE_LINE_LIMIT and not line.endswith(b"\n"):
+                while (rest := fh.readline(CACHE_LINE_LIMIT)) and not rest.endswith(b"\n"):
+                    pass
+                skipped += 1
+                continue
             line = line.strip()
             if not line:
                 continue

@@ -34,16 +34,10 @@ if not os.environ.get("HURWITZNUM_PURE"):
                 stacklevel=2,
             )
 
+# Named for the old split into blocks; perfbench's tracer wraps it by name.
 scan_involutions_block = _impl.scan_involutions_block
 
 
 def backend() -> str:
     """Name of the active kernel backend: 'compiled' or 'pure'."""
     return _impl.backend()
-
-
-def scan_involutions(
-    d: int, lens: tuple[int, ...], target: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """`scan_involutions_block` for ``first = 1 .. d-1``, concatenated."""
-    return [v for first in range(1, d) for v in scan_involutions_block(d, first, lens, target)]

@@ -14,27 +14,26 @@ product relation, and merges survivors by a canonical form of the triple.
 The anchor is chosen so that the streamed class is as cheap as possible,
 and among such slots by which leaves fewer survivors to complete (see
 ``_choose_slots``).  When the streamed class consists of fixed-point-free
-involutions the scan runs through ``kernels.scan_involutions``, which owns
-its split into disjoint blocks.  The kernel takes
-``(d, first, lens, target)``: the anchor is ``class_representative(lens)``,
-with ``lens`` the anchor slot's partition, and the kernel derives the
-anchor's point classes, which decide transitivity, from ``lens``; ``target``
-is the forced slot's cycle type.  Conjugating by the anchor's centralizer
-maps survivors to survivors, and the kernel keeps only those that no
-rotation of an anchor cycle or swap of adjacent equal-length cycles makes
-lexicographically smaller.  The least member of every centralizer orbit
-passes, so the survivors meet every conjugation orbit; an orbit may still
-keep more than one.  The kernel also cuts a partial involution as soon as
-the forced permutation's closed cycles or open paths rule out ``target``.
-Each closed cycle takes a part of its length off ``target``, and ``lens``
-and ``target`` both sum to d, so a complete involution that no cut removed
-has the forced cycle type, and the kernel's only test at a leaf is
-transitivity.  Two triples are conjugate exactly when their forms are
-equal, so the merge keeps one survivor per form, the least.  The form
-relabels the triple only from the points of its rarest class of (``s1``-
-cycle length, ``s2``-cycle length, ``s2``-cycle length of the point's
-``s1``-image, ``s1``-cycle length of its ``s2``-image), a class that
-conjugation preserves.
+involutions the scan is one call of ``kernels.scan_involutions_block``,
+which takes ``(d, lens, target)``: the anchor is
+``class_representative(lens)``, with ``lens`` the anchor slot's partition,
+and the kernel derives the anchor's point classes, which decide
+transitivity, from ``lens``; ``target`` is the forced slot's cycle type.
+Conjugating by the anchor's centralizer maps survivors to survivors, and the
+kernel keeps only those that no rotation of an anchor cycle or swap of
+adjacent equal-length cycles makes lexicographically smaller.  The least
+member of every centralizer orbit passes, so the survivors meet every
+conjugation orbit; an orbit may still keep more than one.  The kernel also
+cuts a partial involution as soon as the forced permutation's closed cycles
+or open paths rule out ``target``.  Each closed cycle takes a part of its
+length off ``target``, and ``lens`` and ``target`` both sum to d, so a
+complete involution that no cut removed has the forced cycle type, and the
+kernel's only test at a leaf is transitivity.  Two triples are conjugate
+exactly when their forms are equal, so the merge keeps one survivor per
+form, the least.  The form relabels the triple only from the points of its
+rarest class of (``s1``-cycle length, ``s2``-cycle length, ``s2``-cycle
+length of the point's ``s1``-image, ``s1``-cycle length of its
+``s2``-image), a class that conjugation preserves.
 
 Any other streamed class is scanned in Python, from ``perm.class_list`` up
 to ``perm.LISTED_DEGREE`` and streamed above it.  A member v is kept when v
@@ -264,7 +263,7 @@ def _scan_stream(datum: BranchDatum, anchor: int | None = None) -> _AnchoredReps
     if tau_s == (2,) * (d // 2):
         # The kernel derives r from lens, so it prunes the involutions under
         # the centralizer of exactly this r.
-        survivors = map(completed, kernels.scan_involutions(d, lens, tau_f))
+        survivors = map(completed, kernels.scan_involutions_block(d, lens, tau_f))
     else:
         survivors = []
         id_d = P.identity(d)

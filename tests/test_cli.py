@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import math
 import os
 import resource
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -489,6 +491,56 @@ def test_sweep_cache_that_is_not_a_regular_file_is_io_error(tmp_path, path):
     assert out.returncode == 4
     assert out.stdout == ""
     assert out.stderr == f"cache read failed: {path}: not a regular file\n"
+
+
+def test_cache_line_longer_than_the_limit_is_skipped_unheld(capsys, tmp_path):
+    # A 32 MB line is read in pieces of at most CACHE_LINE_LIMIT bytes, never
+    # whole, and the entries after it still load.
+    clean = tmp_path / "clean.jsonl"
+    run(capsys, "sweep", "--max-d", "6", "--cache", str(clean))
+    version = cli._cache_version()
+    expected, _ = cli._load_cache(str(clean), version)
+    cache = tmp_path / "cache.jsonl"
+    with open(cache, "wb") as fh:
+        fh.write(b"x" * (32 << 20) + b"\n")
+        fh.write(clean.read_bytes())
+    tracemalloc.start()
+    try:
+        loaded, skipped = cli._load_cache(str(cache), version)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (loaded, skipped) == (expected, 1)
+    assert peak < 1 << 20
+
+
+def test_cache_line_limit_boundary(tmp_path):
+    # The limit counts a line's bytes without its newline: one byte short of
+    # it is an entry, at it the line is skipped, with or without a newline.
+    # The longest entry at the oracle's cap is far below it.
+    version = cli._cache_version()
+    d = cli.O.HARD_DEGREE_CAP
+    longest = {
+        "datum": {"d": d, "g": 99, "partitions": [[1] * d] * 3},
+        "nu": math.factorial(d) ** 2,
+        "version": version,
+    }
+    assert 8 * len(json.dumps(longest, sort_keys=True)) < cli.CACHE_LINE_LIMIT
+    entry = json.dumps(
+        {"datum": {"d": 4, "g": 0, "partitions": [[2, 2], [3, 1], [3, 1]]}, "nu": 1,
+         "version": version},
+        sort_keys=True,
+    ).encode()
+    cache = tmp_path / "cache.jsonl"
+    for size, newline, skipped in [
+        (cli.CACHE_LINE_LIMIT - 1, b"\n", 0),
+        (cli.CACHE_LINE_LIMIT - 1, b"", 0),
+        (cli.CACHE_LINE_LIMIT, b"\n", 1),
+        (cli.CACHE_LINE_LIMIT, b"", 1),
+    ]:
+        cache.write_bytes(entry.ljust(size) + newline)
+        loaded, n = cli._load_cache(str(cache), version)
+        assert (len(loaded), n) == (1 - skipped, skipped), (size, newline)
 
 
 @pytest.mark.parametrize("pi", ["٦,1,1", "6,1,١", "６,1,1", "6,1^２"])

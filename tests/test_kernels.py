@@ -3,6 +3,7 @@
 import importlib.util
 import os
 import random
+import re
 import shlex
 import shutil
 import subprocess
@@ -42,14 +43,12 @@ def _cases(d, rng):
 
 def _assert_agrees_with_pure(impl, cases):
     """impl returns the pure twin's survivors, in the same order, on every
-    block of every case (lens, target)."""
+    case (lens, target)."""
     for lens, target in cases:
-        d = sum(lens)
-        for first in range(1, d):
-            args = (d, first, lens, target)
-            assert impl.scan_involutions_block(*args) == (
-                _purekernels.scan_involutions_block(*args)
-            ), args
+        args = (sum(lens), lens, target)
+        assert impl.scan_involutions_block(*args) == (
+            _purekernels.scan_involutions_block(*args)
+        ), args
 
 
 def _cycles(lens):
@@ -119,11 +118,6 @@ def _brute_stream(lens):
     return by_type
 
 
-def _blocks(impl, lens, target):
-    d = sum(lens)
-    return [v for first in range(1, d) for v in impl.scan_involutions_block(d, first, lens, target)]
-
-
 # Anchors with equal-length cycles and fixed points, which the symmetry
 # test's swaps and rotations of the later cycles act on.
 EQUAL_CYCLE_ANCHORS = [(2, 2, 2, 2), (3, 3, 2), (2, 2, 1, 1), (4, 4, 2), (2, 2, 2, 1, 1)]
@@ -151,26 +145,28 @@ def test_rotation_keeps_a_member_of_every_orbit(d):
         if lens not in streams:
             streams[lens] = _brute_stream(lens)
         every = streams[lens].get(target, [])
-        kept = set(_blocks(_purekernels, lens, target))
+        kept = set(_purekernels.scan_involutions_block(d, lens, target))
         assert kept <= set(every)
         for v in every:
             assert not kept.isdisjoint(_centralizer_orbit(v, lens)), (d, trial, lens, v)
 
 
 def test_rotation_prunes_blocks_whose_rotation_conjugate_is_smaller():
-    # With lens = (c,) and first < c, conjugating by the rotation that moves
-    # first to 0 gives an involution that pairs 0 with c - first.  It is
-    # smaller than v, which pairs 0 with first, when c - first < first, so
-    # the root pair decides and the whole block goes.
+    # With lens = (c,) and v(0) = b, conjugating by the rotation that moves
+    # b to 0 gives an involution that pairs 0 with c - b.  It is smaller
+    # than v when c - b < b, so the root pair decides and no survivor pairs
+    # 0 with such a b, though the stream holds involutions that do.
     d = 8
     lens, target = (d,), (5, 2, 1)
     stream = _brute_stream(lens)[target]
     for impl in (_purekernels, _speed):
         if impl is None:
             continue
-        for first in (5, 6, 7):
-            assert any(v[0] == first for v in stream)
-            assert impl.scan_involutions_block(d, first, lens, target) == []
+        kept = impl.scan_involutions_block(d, lens, target)
+        assert kept
+        for b in (5, 6, 7):
+            assert any(v[0] == b for v in stream)
+            assert all(v[0] != b for v in kept)
 
 
 @needs_speed
@@ -188,12 +184,13 @@ def test_survivors_are_valid_involutions():
             continue
         for lens, target in _cases(d, random.Random(7)):
             r = P.class_representative(lens)
-            for first in range(1, d):
-                for v in impl.scan_involutions_block(d, first, lens, target):
-                    assert v[0] == first
-                    assert P.cycle_type(v) == (2,) * (d // 2)
-                    assert P.cycle_type(P.compose(v, P.inverse(r))) == target
-                    assert P.is_transitive([r, v], d)
+            kept = impl.scan_involutions_block(d, lens, target)
+            # in the walk's order: increasing partner of point 0
+            assert [v[0] for v in kept] == sorted(v[0] for v in kept)
+            for v in kept:
+                assert P.cycle_type(v) == (2,) * (d // 2)
+                assert P.cycle_type(P.compose(v, P.inverse(r))) == target
+                assert P.is_transitive([r, v], d)
 
 
 @pytest.mark.parametrize(
@@ -205,10 +202,12 @@ def test_survivors_are_valid_involutions():
     ids=lambda parts: "-".join(map(str, parts)),
 )
 def test_block_union_is_the_full_stream(anchor):
-    # Several anchor cycles: the kernel's point classes, derived from lens,
-    # decide which survivors are transitive.  The blocks keep exactly the
-    # members of the stream that pass the symmetry test, built here from
-    # lens alone; a scan that prunes a kept survivor, or keeps another
+    # The name is kept from when the scan was cut into blocks by the partner
+    # of point 0; one scan now covers the whole stream.  Several anchor
+    # cycles: the kernel's point classes, derived from lens, decide which
+    # survivors are transitive.  The scan keeps exactly the members of the
+    # brute-force stream that pass the symmetry test, built here from lens
+    # alone; a scan that prunes a kept survivor, or keeps another
     # involution, fails here.  (7, 3) and (7, 3, 2) are the anchors of the
     # genus-2 data at d = 10 and 12, the family of the `deep` benchmark.
     by_type = _brute_stream(anchor)
@@ -218,25 +217,23 @@ def test_block_union_is_the_full_stream(anchor):
         for impl in (_purekernels, _speed):
             if impl is None:
                 continue
-            blocks = _blocks(impl, anchor, target)
-            assert len(set(blocks)) == len(blocks)
-            assert sorted(blocks) == brute, (impl.backend(), target)
+            kept = impl.scan_involutions_block(sum(anchor), anchor, target)
+            assert len(set(kept)) == len(kept)
+            assert sorted(kept) == brute, (impl.backend(), target)
 
 
 def _assert_rejects_bad_input(impl):
-    """impl raises ValueError on an odd degree, a first partner out of range,
-    and lens or target that are not parts in 1..d summing to d."""
+    """impl raises ValueError on an odd degree, and on lens or target that
+    are not parts in 1..d summing to d."""
     with pytest.raises(ValueError):
-        impl.scan_involutions_block(5, 1, (5,), (5,))
-    with pytest.raises(ValueError):
-        impl.scan_involutions_block(4, 0, (4,), (2, 2))
+        impl.scan_involutions_block(5, (5,), (5,))
     # empty, a part outside 1..d, or not summing to d
     bad = ((), (5,), (0, 4), (4, 0), (3,), (2, 1), (2, 2, 1), (2, 2, 2), (1,) * 5)
     for parts in bad:
         with pytest.raises(ValueError):
-            impl.scan_involutions_block(4, 1, parts, (2, 2))
+            impl.scan_involutions_block(4, parts, (2, 2))
         with pytest.raises(ValueError):
-            impl.scan_involutions_block(4, 1, (4,), parts)
+            impl.scan_involutions_block(4, (4,), parts)
 
 
 def test_kernel_input_validation():
@@ -253,10 +250,9 @@ def test_target_order_is_not_read():
         if impl is None:
             continue
         for lens, target in _cases(d, random.Random(11)):
-            for first in range(1, d):
-                assert impl.scan_involutions_block(d, first, lens, target[::-1]) == (
-                    impl.scan_involutions_block(d, first, lens, target)
-                ), (impl.backend(), lens, target, first)
+            assert impl.scan_involutions_block(d, lens, target[::-1]) == (
+                impl.scan_involutions_block(d, lens, target)
+            ), (impl.backend(), lens, target)
 
 
 def test_backend_names():
@@ -268,7 +264,8 @@ def test_backend_names():
 
 def test_scan_starts_no_thread(monkeypatch):
     # A stand-in for a live compiled twin that delegates to the pure one: the
-    # scan runs its blocks inline on every backend, whatever ``threads`` says.
+    # scan is one inline kernel call on every backend, whatever ``threads``
+    # says.
     import threading
 
     datum = B.make_family_datum(2, 3, 6, (12,))
@@ -284,6 +281,32 @@ def test_scan_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     assert O.strong_hurwitz(datum, threads=8) == inline[0] > 0
     assert O.weak_hurwitz(datum, O.FULL_MOVES, threads=8) == inline[1]
+
+
+def test_oracle_calls_the_kernel_once_per_datum(monkeypatch):
+    # Each datum's involution scan is one walk, not one call per partner of
+    # point 0.  Every family datum of degree at most 12 streams involutions.
+    calls = []
+
+    def counted(d, *args):
+        calls.append(d)
+        return _purekernels.scan_involutions_block(d, *args)
+
+    monkeypatch.setattr(O, "_REPS_CACHE", {})
+    monkeypatch.setattr(kernels, "scan_involutions_block", counted)
+    data = [datum for _, datum in B.family_data(12)]
+    for datum in data:
+        O.weak_hurwitz(datum, O.FULL_MOVES)
+    assert len(data) == len(calls) == 98
+
+
+def test_c_source_matches_the_pure_api_and_the_degree_cap():
+    # Read from the source, so a one-sided API bump or a MAXD below the
+    # oracle's cap fails here even where no C compiler is found.
+    source = (ROOT / "src" / "hurwitznum" / "_speed.c").read_text()
+    defines = dict(re.findall(r"^#define (API|MAXD) (\d+)$", source, re.MULTILINE))
+    assert int(defines["API"]) == _purekernels.API
+    assert int(defines["MAXD"]) >= O.HARD_DEGREE_CAP
 
 
 def test_importing_the_package_loads_only_what_start_up_needs():
