@@ -4,13 +4,13 @@ Subcommands:
 
 * ``check``: parse a family datum, verify the compatibility relation, and
   report lengths, Euler characteristics, and coincident-partition flags.
-* ``count``: compute the weak count for one datum by the closed formula,
-  the witness enumeration, the brute-force oracle, or all of them with an
-  agreement verdict, which is ``n/a`` and names the route when only one of
-  them could run.  The oracle runs only up to ``--max-d`` and its own cap
-  ``oracle.HARD_DEGREE_CAP``.  The formula and
-  the witnesses count the full convention's classes only, so under another
-  ``--convention`` only the oracle runs.
+* ``count``: compute the weak count for one datum along the ``ROUTES``, the
+  closed formula, the witness enumeration and the brute-force oracle.  One
+  rule, shared with ``sweep``, decides which routes can count a datum (the
+  formula and the witnesses: full-convention classes of the shapes they
+  cover; the oracle: up to ``--max-d`` and ``oracle.HARD_DEGREE_CAP``).
+  ``--method X`` runs X or says why it cannot; ``--method all`` runs every
+  route that can, with an agreement verdict, and exits 3 when none can.
 * ``table``: print the full genus-0 reference table at k = 8 (21 rows:
   partition, case label, count, witnesses).
 * ``sweep``: run every in-scope datum up to a degree bound through all
@@ -44,6 +44,7 @@ from . import witnesses as W
 from .branchdata import (
     FORMULA_SHAPES,
     BranchDatum,
+    FamilyParams,
     MalformedDatumError,
     check_family_params,
     family_data,
@@ -73,46 +74,8 @@ CONVENTIONS_BY_NAME = {
     "conjugation": O.CONJUGATION_ONLY,
 }
 
-
-class CountResult:
-    """Counts for one datum, with provenance and agreement metadata, filled
-    in route by route."""
-
-    __slots__ = ("datum", "nu_weak", "convention", "nu_strong", "label", "witnesses",
-                 "intermediates", "elapsed", "per_method")
-
-    def __init__(self, datum: BranchDatum, nu_weak: int, convention: str) -> None:
-        self.datum = datum
-        self.nu_weak = nu_weak
-        self.convention = convention
-        self.nu_strong: int | None = None
-        self.label: str | None = None
-        self.witnesses: list[W.DessinWitness] | None = None
-        self.intermediates: dict[str, int] | None = None
-        self.elapsed = 0.0
-        self.per_method: dict[str, int] = {}
-
-    @property
-    def discrepant(self) -> bool:
-        return len(set(self.per_method.values())) > 1
-
-    def to_json(self) -> dict:
-        out: dict = {
-            "datum": self.datum.to_json(),
-            "nu_weak": self.nu_weak,
-            "convention": self.convention,
-            "per_method": dict(self.per_method),
-            "discrepant": self.discrepant,
-        }
-        if self.nu_strong is not None:
-            out["nu_strong"] = self.nu_strong
-        if self.label is not None:
-            out["label"] = self.label
-        if self.witnesses is not None:
-            out["witnesses"] = [w.to_json() for w in self.witnesses]
-        if self.intermediates is not None:
-            out["intermediates"] = dict(self.intermediates)
-        return out
+# The three independent ways to count a family datum, in ``count``'s order.
+ROUTES = ("formula", "witnesses", "oracle")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,7 +123,7 @@ def build_parser() -> _Parser:
         add_format(p)
     p_count.add_argument(
         "--method",
-        choices=("formula", "oracle", "witnesses", "all"),
+        choices=(*ROUTES, "all"),
         default="all",
         help="which computation path(s) to run",
     )
@@ -188,7 +151,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _datum_from_args(args: argparse.Namespace) -> tuple[BranchDatum, tuple[int, ...]]:
+def _datum_from_args(args: argparse.Namespace) -> tuple[FamilyParams, BranchDatum]:
     # The parameters are checked first, so that a fault in them is reported
     # rather than a missing --pi.
     check_family_params(args.genus, args.h, args.k)
@@ -200,11 +163,12 @@ def _datum_from_args(args: argparse.Namespace) -> tuple[BranchDatum, tuple[int, 
         )
     else:
         pi = (2 * args.k,)
-    return make_family_datum(args.genus, args.h, args.k, pi), pi
+    params = FamilyParams(args.genus, args.h, args.k, pi)
+    return params, make_family_datum(*params)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    datum, _pi = _datum_from_args(args)
+    _params, datum = _datum_from_args(args)
     possible = coincident_partitions(args.genus, args.h, args.k)
     actual = datum_coincidences(datum)
     resolution = W.coincident_resolution(datum)
@@ -246,99 +210,94 @@ def _check_max_d(args: argparse.Namespace) -> None:
         raise ValueError(f"--max-d must be at least 1, got {args.max_d}")
 
 
-def _compute_count(args: argparse.Namespace) -> CountResult:
+def _refusal(
+    route: str, params: FamilyParams, conv: O.WeakConvention, max_d: int
+) -> Exception | None:
+    """The error ``count --method route`` raises for the family datum
+    ``params`` under ``conv``, or None when the route can count it.
+    ``count --method all`` and ``sweep`` run the routes that return None."""
+    g, h, k, _pi = params
+    if route == "oracle":
+        if 2 * k > max_d:
+            return O.InfeasibleDegreeError(f"degree {2 * k} exceeds --max-d {max_d}")
+        if 2 * k > O.HARD_DEGREE_CAP:
+            return O.InfeasibleDegreeError(
+                f"degree {2 * k} exceeds the oracle's cap HARD_DEGREE_CAP = "
+                f"{O.HARD_DEGREE_CAP}"
+            )
+        return None
+    # The formula and the witnesses count the full convention's classes.
+    if conv is not O.FULL_MOVES:
+        return ValueError(
+            f"--method {route} counts under the full convention only, "
+            f"not {conv.label()}; use --method oracle"
+        )
+    if route == "formula":
+        if (g, h) not in FORMULA_SHAPES:
+            return ValueError(f"no closed form for (g={g}, h={h})")
+    elif (g, h) not in W.FAMILIES:
+        return ValueError(f"no witness families for (g={g}, h={h})")
+    elif g == 2 and k > W.MAX_GENUS2_K:
+        return O.InfeasibleDegreeError(
+            f"genus-2 witnesses are listed up to k = "
+            f"{W.MAX_GENUS2_K} (witnesses.MAX_GENUS2_K), got k={k}"
+        )
+    return None
+
+
+def cmd_count(args: argparse.Namespace) -> int:
     _check_max_d(args)
-    datum, pi = _datum_from_args(args)
+    params, datum = _datum_from_args(args)
     conv = CONVENTIONS_BY_NAME[args.convention]
     started = time.perf_counter()
-    result = CountResult(datum=datum, nu_weak=0, convention=conv.label())
-
-    # The formula and the witnesses count the full convention's classes.
-    if args.method != "all":
-        if conv is not O.FULL_MOVES and args.method != "oracle":
-            raise ValueError(
-                f"--method {args.method} counts under the full convention only, "
-                f"not {conv.label()}; use --method oracle"
-            )
-        methods = (args.method,)
-    elif conv is O.FULL_MOVES:
-        methods = ("formula", "witnesses", "oracle")
-    else:
-        methods = ("oracle",)
-    for method in methods:
-        if method == "formula":
-            if args.method == "all" and (args.genus, args.h) not in FORMULA_SHAPES:
-                continue
-            fr = F.nu_for_family(args.genus, args.h, args.k, pi)
-            result.label = fr.label
-            result.intermediates = fr.intermediates
-            result.per_method["formula"] = fr.nu
-        elif method == "witnesses":
-            if (args.genus, args.h) not in W.FAMILIES:
-                if args.method != "all":
-                    raise ValueError(
-                        f"no witness families for (g={args.genus}, h={args.h})"
-                    )
-                continue
-            if args.genus == 2 and args.k > W.MAX_GENUS2_K:
-                if args.method != "all":
-                    raise O.InfeasibleDegreeError(
-                        f"genus-2 witnesses are listed up to k = "
-                        f"{W.MAX_GENUS2_K} (witnesses.MAX_GENUS2_K), got k={args.k}"
-                    )
-                continue
-            ws = W.enumerate_witnesses(args.genus, args.h, args.k, pi)
-            result.witnesses = ws
-            result.per_method["witnesses"] = len(ws)
-        else:
-            # --method all skips the oracle where it would refuse; --method
-            # oracle refuses, above --max-d here and above the cap in oracle.
-            if args.method == "all" and datum.degree > min(args.max_d, O.HARD_DEGREE_CAP):
-                continue
-            if datum.degree > args.max_d:
-                raise O.InfeasibleDegreeError(
-                    f"degree {datum.degree} exceeds --max-d {args.max_d}"
-                )
-            result.nu_strong = O.strong_hurwitz(datum)
-            result.per_method["oracle"] = O.weak_hurwitz(datum, conv)
-    if not result.per_method:
+    wanted = ROUTES if args.method == "all" else (args.method,)
+    routes = [r for r in wanted if _refusal(r, params, conv, args.max_d) is None]
+    if not routes:
+        if args.method != "all":
+            raise _refusal(args.method, params, conv, args.max_d)
         raise O.InfeasibleDegreeError(
             f"no route can count {datum} under {conv.label()}: no closed form or witness "
             f"family counts it, and degree {datum.degree} exceeds the oracle's bound "
             f"min(--max-d {args.max_d}, HARD_DEGREE_CAP = {O.HARD_DEGREE_CAP})"
         )
-    result.nu_weak = result.per_method.get("oracle", next(iter(result.per_method.values())))
-    result.elapsed = time.perf_counter() - started
-    return result
-
-
-def cmd_count(args: argparse.Namespace) -> int:
-    result = _compute_count(args)
-    print(f"elapsed: {result.elapsed * 1000:.1f} ms", file=sys.stderr)
+    per_method: dict[str, int] = {}
+    blob: dict = {"datum": datum.to_json(), "convention": conv.label()}
+    lines = [f"datum: {datum}", f"convention: {conv.label()}"]
+    for route in routes:
+        if route == "formula":
+            fr = F.nu_for_family(*params)
+            nu = fr.nu
+            blob["intermediates"] = fr.intermediates
+            if fr.label is not None:
+                blob["label"] = fr.label
+            detail = f"  [case {fr.label}]" if fr.label else ""
+        elif route == "witnesses":
+            ws = W.enumerate_witnesses(*params)
+            nu = len(ws)
+            blob["witnesses"] = [w.to_json() for w in ws]
+            detail = f"  [{' '.join(w.text() for w in ws) or '-'}]"
+        else:
+            strong = blob["nu_strong"] = O.strong_hurwitz(datum)
+            nu = O.weak_hurwitz(datum, conv)
+            detail = f"  [strong {strong}]"
+        per_method[route] = nu
+        lines.append(f"nu ({route}): {nu}{detail}")
+    nu_weak = per_method.get("oracle", per_method[routes[0]])
+    discrepant = len(set(per_method.values())) > 1
+    print(f"elapsed: {(time.perf_counter() - started) * 1000:.1f} ms", file=sys.stderr)
     if args.format == "json":
-        print(json.dumps(result.to_json(), sort_keys=True))
+        blob.update(nu_weak=nu_weak, per_method=per_method, discrepant=discrepant)
+        print(json.dumps(blob, sort_keys=True))
     else:
-        print(f"datum: {result.datum}")
-        print(f"convention: {result.convention}")
-        if "formula" in result.per_method:
-            suffix = f"  [case {result.label}]" if result.label else ""
-            print(f"nu (formula): {result.per_method['formula']}{suffix}")
-        if "witnesses" in result.per_method:
-            ws = " ".join(w.text() for w in result.witnesses or []) or "-"
-            print(f"nu (witnesses): {result.per_method['witnesses']}  [{ws}]")
-        if "oracle" in result.per_method:
-            print(
-                f"nu (oracle): {result.per_method['oracle']}"
-                f"  [strong {result.nu_strong}]"
-            )
-        print(f"nu: {result.nu_weak}")
+        lines.append(f"nu: {nu_weak}")
         if args.method == "all":
-            if len(result.per_method) == 1:
-                verdict = f"n/a ({next(iter(result.per_method))} only)"
+            if len(routes) == 1:
+                verdict = f"n/a ({routes[0]} only)"
             else:
-                verdict = "NO - DISCREPANT" if result.discrepant else "yes"
-            print(f"agreement: {verdict}")
-    return EXIT_DISCREPANCY if result.discrepant else EXIT_OK
+                verdict = "NO - DISCREPANT" if discrepant else "yes"
+            lines.append(f"agreement: {verdict}")
+        print("\n".join(lines))
+    return EXIT_DISCREPANCY if discrepant else EXIT_OK
 
 
 def table_rows(k: int = 8) -> list[tuple[str, str, int, list[str]]]:
@@ -453,6 +412,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"sweep bound d={args.max_d} exceeds the oracle feasibility cap "
             f"HARD_DEGREE_CAP = {O.HARD_DEGREE_CAP}"
         )
+    data = family_data(args.max_d)
+    if not data:  # a sweep over no datum would report a vacuous pass
+        smallest = min(datum.degree for _params, datum in family_data(O.HARD_DEGREE_CAP))
+        raise ValueError(f"--max-d {args.max_d} is below the smallest family degree {smallest}")
     conv = O.FULL_MOVES  # the convention the formula and the witnesses count
     label = conv.label()
     path = args.cache or os.environ.get(CACHE_ENV) or None
@@ -476,14 +439,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         with contextlib.ExitStack() as stack:
             sink = None  # the cache file, opened for append on the first new entry
-            for params, datum in family_data(args.max_d):
-                values = {
-                    "formula": F.nu_for_family(params.g, params.h, params.k, params.pi).nu
-                }
-                if (params.g, params.h) in W.FAMILIES:
-                    values["witnesses"] = len(
-                        W.enumerate_witnesses(params.g, params.h, params.k, params.pi)
-                    )
+            for params, datum in data:
+                values: dict[str, int] = {}
+                if _refusal("formula", params, conv, args.max_d) is None:
+                    values["formula"] = F.nu_for_family(*params).nu
+                if _refusal("witnesses", params, conv, args.max_d) is None:
+                    values["witnesses"] = len(W.enumerate_witnesses(*params))
                 # A cached count that disagrees with the formula or the
                 # witnesses is recomputed before it is reported, so a stale or
                 # hand-edited line cannot invent a discrepancy.
@@ -534,8 +495,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"elapsed: {elapsed * 1000:.1f} ms ({computed} computed, {reused} cached)",
         file=sys.stderr,
     )
-    total = sum(n for n, _ in per_shape.values())
-    bad = sum(b for _, b in per_shape.values())
+    total, bad = len(records), len(discrepancies)
     if args.format == "json":
         print(
             json.dumps(

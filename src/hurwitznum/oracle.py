@@ -320,14 +320,12 @@ def _anchored_reps(datum: BranchDatum) -> _AnchoredReps:
     return info
 
 
-def enumerate_triples(datum: BranchDatum, threads: int = 1) -> list[MonodromyTriple]:
+def enumerate_triples(datum: BranchDatum) -> list[MonodromyTriple]:
     """One representative per simultaneous-conjugation orbit of valid triples.
 
     Each representative is the least scan survivor, in the lexicographic
     order on image-tuple triples, with its canonical form, and the list is
-    sorted, so the output is deterministic.  ``threads`` has no effect: it
-    is kept for ``perfbench``'s ``deep`` workload, which passes it, until
-    the next change to that workload.
+    sorted, so the output is deterministic.
     """
     info = _anchored_reps(datum)
     return [MonodromyTriple(*t) for t in info.reps]

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import shlex
 import subprocess
@@ -93,6 +94,13 @@ def test_count_witnesses_out_of_scope_is_usage_error(capsys):
                        "--pi", "3,3", "--method", "witnesses")
     assert code == 1
     assert "witness" in err
+    # The formula is refused the same way on a shape with no closed form.
+    for g, h, k, pi in [(2, 4, 6, "7,5"), (3, 5, 8, "16")]:
+        code, out, err = run(capsys, "count", "--genus", str(g), "--h", str(h),
+                             "--k", str(k), "--pi", pi, "--method", "formula")
+        assert code == 1
+        assert out == ""
+        assert f"(g={g}, h={h})" in err
 
 
 def test_count_infeasible_degree(capsys):
@@ -228,6 +236,15 @@ def test_max_d_below_one_exit_one(capsys, argv, max_d):
     assert err == f"error: --max-d must be at least 1, got {max_d}\n"
 
 
+def test_sweep_below_the_smallest_family_degree_exit_one(capsys):
+    # The smallest family datum has d = 4: a lower bound would pass on nothing.
+    code, out, err = run(capsys, "sweep", "--max-d", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --max-d 3 ") and "degree 4" in err
+    assert run(capsys, "sweep", "--max-d", "4")[0] == 0
+
+
 def test_table_matches_golden_text(capsys):
     code, out, _ = run(capsys, "table")
     assert code == 0
@@ -284,6 +301,33 @@ def test_sweep_stdout_is_frozen(capsys, tmp_path, fmt, digest):
                        "--cache", str(tmp_path / "cache.jsonl"))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sweep_counts_line_is_the_one_perfbench_parses(capsys, tmp_path):
+    # perfbench/worker.py reads cli.computed and cli.cached from this line;
+    # a reworded line would silently read them as zero.
+    pattern = re.compile(r"\((\d+) computed, (\d+) cached\)")
+    argv = ("sweep", "--max-d", "8", "--cache", str(tmp_path / "cache.jsonl"))
+    for expected in [("28", "0"), ("0", "28")]:
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert pattern.search(err).groups() == expected
+
+
+def test_count_and_sweep_share_the_route_rule(capsys):
+    code, out, _ = run(capsys, "sweep", "--max-d", "12", "--format", "json")
+    assert code == 0
+    records = json.loads(out)["data"]
+    assert len(records) == 98
+    for rec in records:
+        datum = rec["datum"]
+        g, pi = datum["g"], datum["partitions"][2]
+        h = len(pi) + 2 * g - 2  # len(pi) = h - 2g + 2
+        code, out, _ = run(capsys, "count", "--genus", str(g), "--h", str(h),
+                           "--k", str(datum["d"] // 2), "--pi", ",".join(map(str, pi)),
+                           "--method", "all", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["per_method"] == rec["values"], datum
 
 
 def test_sweep_force_recomputes(capsys, tmp_path):

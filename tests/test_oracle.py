@@ -410,12 +410,12 @@ def test_threads_do_not_change_counts():
     datum = fam(0, 1, 6, (9, 2, 1))
     O._REPS_CACHE.clear()
     expected = O.weak_hurwitz(datum, O.FULL_MOVES, threads=1)
-    reps = O.enumerate_triples(datum, threads=1)
     for threads in (2, 8):
         O._REPS_CACHE.clear()
         assert O.weak_hurwitz(datum, O.FULL_MOVES, threads=threads) == expected
-        O._REPS_CACHE.clear()
-        assert O.enumerate_triples(datum, threads=threads) == reps
+    # Only strong_hurwitz and weak_hurwitz keep the keyword, which perfbench passes.
+    with pytest.raises(TypeError):
+        O.enumerate_triples(datum, threads=2)
 
 
 def test_unanchored_profile_matches_anchored():
