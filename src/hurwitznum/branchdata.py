@@ -41,9 +41,7 @@ class MalformedDatumError(ValueError):
 
 def is_partition(parts: tuple[int, ...]) -> bool:
     """True iff ``parts`` is weakly decreasing with all entries >= 1."""
-    return bool(parts) and all(
-        parts[i] >= 1 and (i == 0 or parts[i - 1] >= parts[i]) for i in range(len(parts))
-    )
+    return bool(parts) and parts[-1] >= 1 and sorted(parts, reverse=True) == list(parts)
 
 
 _PART_TOKEN = re.compile(r"^([0-9]+)(?:\^([0-9]+))?$")
@@ -223,6 +221,27 @@ def check_family_params(g: int, h: int, k: int) -> None:
         raise ValueError(f"k={k} is too small: need k >= h+2 = {h + 2} to fit the second partition")
 
 
+def family_parts(g: int, h: int) -> int:
+    """The number of parts of ``pi`` that compatibility forces at (g, h)."""
+    return h - 2 * g + 2
+
+
+def check_family_datum(g: int, h: int, k: int, pi: Partition) -> None:
+    """Raise ValueError unless (g, h, k, pi) is a family datum: the checks
+    of ``check_family_params``, then ``pi`` a canonical partition of 2k
+    with ``family_parts(g, h)`` parts.  Builds nothing, so it is cheap
+    enough for every formula and witness call.
+    """
+    check_family_params(g, h, k)
+    if not is_partition(pi):
+        raise ValueError(f"pi is not a canonical partition: {pi}")
+    want_len = family_parts(g, h)
+    if len(pi) != want_len:
+        raise ValueError(f"pi has {len(pi)} parts, expected h-2g+2 = {want_len}")
+    if sum(pi) != 2 * k:
+        raise ValueError(f"pi sums to {sum(pi)}, expected 2k = {2 * k}")
+
+
 def make_family_datum(g: int, h: int, k: int, pi: tuple[int, ...]) -> BranchDatum:
     """Construct the family datum for (g, h, k, pi), validating each bound.
 
@@ -230,14 +249,7 @@ def make_family_datum(g: int, h: int, k: int, pi: tuple[int, ...]) -> BranchDatu
     '(g=1,d=6,[2,2,2],[3,3],[6])'
     """
     pi = tuple(pi)
-    check_family_params(g, h, k)
-    if not is_partition(pi):
-        raise ValueError(f"pi is not a canonical partition: {pi}")
-    want_len = h - 2 * g + 2
-    if len(pi) != want_len:
-        raise ValueError(f"pi has {len(pi)} parts, expected h-2g+2 = {want_len}")
-    if sum(pi) != 2 * k:
-        raise ValueError(f"pi sums to {sum(pi)}, expected 2k = {2 * k}")
+    check_family_datum(g, h, k, pi)
     pi1 = (2,) * k
     pi2 = tuple(sorted([2 * h + 1, 3] + [2] * (k - h - 2), reverse=True))
     datum = BranchDatum(g, 2 * k, (pi1, pi2, pi))
@@ -292,6 +304,6 @@ def family_data(max_d: int) -> list[tuple[FamilyParams, BranchDatum]]:
         for k in count(h + 2):
             if 2 * k > max_d:
                 break
-            for pi in partitions_of(2 * k, h - 2 * g + 2):
+            for pi in partitions_of(2 * k, family_parts(g, h)):
                 out.append((FamilyParams(g, h, k, pi), make_family_datum(g, h, k, pi)))
     return out

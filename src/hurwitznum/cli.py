@@ -48,6 +48,7 @@ from .branchdata import (
     MalformedDatumError,
     check_family_params,
     family_data,
+    family_parts,
     coincident_partitions,
     datum_coincidences,
     make_family_datum,
@@ -157,10 +158,8 @@ def _datum_from_args(args: argparse.Namespace) -> tuple[FamilyParams, BranchDatu
     check_family_params(args.genus, args.h, args.k)
     if args.pi is not None:
         pi = parse_partition(args.pi)
-    elif args.h - 2 * args.genus + 2 > 1:
-        raise MalformedDatumError(
-            f"--pi is required for this shape (expected {args.h - 2 * args.genus + 2} parts)"
-        )
+    elif (parts := family_parts(args.genus, args.h)) > 1:
+        raise MalformedDatumError(f"--pi is required for this shape (expected {parts} parts)")
     else:
         pi = (2 * args.k,)
     params = FamilyParams(args.genus, args.h, args.k, pi)

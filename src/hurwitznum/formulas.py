@@ -11,6 +11,11 @@ The genus-1, single-part case carries three candidate closed forms that
 disagree with each other; the shipped default is the one confirmed by the
 brute-force oracle on small degrees, and the arbitration can be re-run at
 any time (see ``arbitrate_genus1_h1``).
+
+Every public closed form takes only the family data that
+``branchdata.check_family_datum`` accepts, for a shape in
+``branchdata.FORMULA_SHAPES``, and raises ValueError otherwise: the same
+rule ``make_family_datum`` and the witness enumeration apply.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .branchdata import Partition, is_partition
+from .branchdata import FORMULA_SHAPES, Partition, check_family_datum
 
 
 class FormulaResult(namedtuple("FormulaResult", "nu label intermediates")):
@@ -39,15 +44,10 @@ class FormulaResult(namedtuple("FormulaResult", "nu label intermediates")):
         return cls(*iterable)
 
 
-def _require_pi(h: int, k: int, pi: Partition) -> None:
-    if not is_partition(pi):
-        raise ValueError(f"not a partition in canonical order: {pi}")
-    if len(pi) != h + 2:
-        raise ValueError(f"partition length must be h+2 = {h + 2}, got {len(pi)}")
-    if sum(pi) != 2 * k:
-        raise ValueError(f"partition must sum to 2k = {2 * k}, got {sum(pi)}")
-    if k < h + 2:
-        raise ValueError(f"k must be at least h+2 = {h + 2}, got {k}")
+def _check(g: int, h: int, k: int, pi: Partition) -> None:
+    if (g, h) not in FORMULA_SHAPES:
+        raise ValueError(f"no closed form for (g={g}, h={h})")
+    check_family_datum(g, h, k, pi)
 
 
 def _k_sum_of_two(k: int, pi: Partition) -> bool:
@@ -73,7 +73,7 @@ def classify_genus0_h1(k: int, pi: Partition) -> str:
     >>> classify_genus0_h1(8, (7, 5, 4))
     'iii-c'
     """
-    _require_pi(1, k, pi)
+    _check(0, 1, k, pi)
     if k in pi:
         return "i"
     if len(set(pi)) < 3:
@@ -103,21 +103,19 @@ def nu_genus0(h: int, k: int, pi: Partition) -> FormulaResult:
     >>> nu_genus0(2, 4, (2, 2, 2, 2)).nu
     0
     """
-    if h not in (0, 1, 2):
-        raise ValueError(f"h must be 0, 1 or 2, got {h}")
-    _require_pi(h, k, pi)
+    if h == 1:  # classify_genus0_h1 runs the family-datum rule
+        label = classify_genus0_h1(k, pi)
+        return FormulaResult(
+            nu=0 if label == "i" else 1,
+            label=label,
+            intermediates={"k_in_pi": int(k in pi)},
+        )
+    _check(0, h, k, pi)
     k_in = k in pi
     if h == 0:
         return FormulaResult(
             nu=0 if k_in else 1,
             label="i" if k_in else "ii",
-            intermediates={"k_in_pi": int(k_in)},
-        )
-    if h == 1:
-        label = classify_genus0_h1(k, pi)
-        return FormulaResult(
-            nu=0 if label == "i" else 1,
-            label=label,
             intermediates={"k_in_pi": int(k_in)},
         )
 
@@ -232,15 +230,8 @@ def nu_genus1(h: int, k: int, pi: Partition) -> FormulaResult:
     >>> nu_genus1(2, 4, (4, 4)).nu
     0
     """
-    if h not in (1, 2):
-        raise ValueError(f"h must be 1 or 2, got {h}")
-    if not is_partition(pi):
-        raise ValueError(f"not a partition in canonical order: {pi}")
+    _check(1, h, k, pi)
     if h == 1:
-        if pi != (2 * k,):
-            raise ValueError(f"partition must be [{2 * k}], got {pi}")
-        if k < 3:
-            raise ValueError(f"k must be at least 3, got {k}")
         inter = {
             name: genus1_h1_candidate(name, k) for name in GENUS1_H1_CANDIDATES
         }
@@ -249,10 +240,6 @@ def nu_genus1(h: int, k: int, pi: Partition) -> FormulaResult:
             label=f"verdict:{GENUS1_H1_VERDICT}",
             intermediates=inter,
         )
-    if len(pi) != 2 or sum(pi) != 2 * k:
-        raise ValueError(f"partition must be [p, {2 * k}-p], got {pi}")
-    if k < 4:
-        raise ValueError(f"k must be at least 4, got {k}")
     p = min(pi)
     if p == k:
         return FormulaResult(nu=0, label="p=k", intermediates={"p": p})
@@ -331,8 +318,7 @@ def nu_genus2(k: int) -> FormulaResult:
     >>> [nu_genus2(k).nu for k in (5, 6, 7)]
     [6, 20, 60]
     """
-    if k < 5:
-        raise ValueError(f"k must be at least 5, got {k}")
+    _check(2, 3, k, (2 * k,))
     # The displayed formula (7k^4 - 70k^3 + 290k^2 - 515k + 288)/48
     # - (5/8)(2k - 5) floor(k/2), multiplied through by 48.
     nu, rem = divmod(
@@ -369,10 +355,5 @@ def nu_for_family(g: int, h: int, k: int, pi: Partition) -> FormulaResult:
         return nu_genus0(h, k, pi)
     if g == 1:
         return nu_genus1(h, k, pi)
-    if g == 2:
-        if h != 3:
-            raise ValueError(f"genus 2 is covered only for h=3, got h={h}")
-        if pi != (2 * k,):
-            raise ValueError(f"partition must be [{2 * k}], got {pi}")
-        return nu_genus2(k)
-    raise ValueError(f"no closed form for genus {g}")
+    _check(g, h, k, pi)
+    return nu_genus2(k)

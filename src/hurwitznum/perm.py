@@ -14,6 +14,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import permutations as _point_permutations
 
+from .branchdata import is_partition
+
 Perm = tuple[int, ...]
 CycleType = tuple[int, ...]
 
@@ -104,16 +106,6 @@ def from_cycles(d: int, cycs: Iterable[Sequence[int]]) -> Perm:
     return tuple(images)
 
 
-def _check_partition(parts: Sequence[int]) -> None:
-    if not parts:
-        raise ValueError("empty partition")
-    for i, x in enumerate(parts):
-        if x < 1:
-            raise ValueError(f"partition part {x} is not positive")
-        if i and parts[i - 1] < x:
-            raise ValueError("partition parts must be weakly decreasing")
-
-
 def class_size(parts: Sequence[int]) -> int:
     """Number of permutations with the given cycle type.
 
@@ -125,7 +117,8 @@ def class_size(parts: Sequence[int]) -> int:
     >>> class_size((2,) * 8) == 2027025
     True
     """
-    _check_partition(parts)
+    if not is_partition(parts):
+        raise ValueError(f"not a partition: {parts}")
     d = sum(parts)
     denom = 1
     mult: dict[int, int] = {}
@@ -145,7 +138,8 @@ def class_stream(parts: Sequence[int]) -> Iterator[Perm]:
     order.  Anchoring the smallest free point means two equal-length cycles
     are produced in a fixed order, so no permutation appears twice.
     """
-    _check_partition(parts)
+    if not is_partition(parts):
+        raise ValueError(f"not a partition: {parts}")
     d = sum(parts)
     # Invariant: images[x] == x for every free point x on entry to rec.
     images = list(range(d))
@@ -199,7 +193,8 @@ def class_representative(parts: Sequence[int]) -> Perm:
     >>> class_representative((3, 2))
     (1, 2, 0, 4, 3)
     """
-    _check_partition(parts)
+    if not is_partition(parts):
+        raise ValueError(f"not a partition: {parts}")
     out = []
     start = 0
     for length in parts:

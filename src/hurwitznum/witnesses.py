@@ -12,13 +12,18 @@ Data in which two of the three partitions coincide admit extra graph
 moves that the per-partition enumeration cannot see; for those seven data
 the resolved counts are fixed table constants, each cross-checked by the
 brute-force oracle.
+
+``enumerate_witnesses`` takes only the family data that
+``branchdata.check_family_datum`` accepts, for a shape in ``FAMILIES``, and
+raises ValueError otherwise: the same rule ``make_family_datum`` and the
+closed formulas apply.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .branchdata import BranchDatum, Partition, is_partition
+from .branchdata import BranchDatum, Partition, check_family_datum
 
 Context = tuple[int, int]
 
@@ -225,10 +230,8 @@ def _genus2_h3(k: int) -> list[DessinWitness]:
         rest = k - a
         for b in range(1, rest - 2):
             for c in range(1, rest - b - 1):
-                for d in range(1, rest - b - c + 1):
+                for d in range(1, rest - b - c):
                     e = rest - b - c - d
-                    if e < 1:
-                        continue
                     plain.append((a, b, c, d, e))
                     if (b, c, d, e) <= (c, b, e, d):
                         symmetric.append((a, b, c, d, e))
@@ -259,13 +262,8 @@ def enumerate_witnesses(g: int, h: int, k: int, pi: Partition) -> list[DessinWit
     context = (g, h)
     if context not in FAMILIES:
         raise ValueError(f"no witness families for context {context}")
-    if not is_partition(pi):
-        raise ValueError(f"not a partition in canonical order: {pi}")
-    expected_len = h + 2 - 2 * g
-    if len(pi) != expected_len or sum(pi) != 2 * k:
-        raise ValueError(
-            f"partition must have {expected_len} parts summing to {2 * k}, got {pi}"
-        )
+    check_family_datum(g, h, k, pi)
+    pi = tuple(pi)
     if g == 0:
         out = _genus0(k, pi)
     elif context == (1, 1):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hurwitznum import branchdata as B
+from hurwitznum import formulas as F
+from hurwitznum import witnesses as W
 
 
 def test_parse_partition_forms():
@@ -132,6 +134,44 @@ def test_make_family_datum_second_partition_padding():
 def test_make_family_datum_rejects(g, h, k, pi):
     with pytest.raises((B.MalformedDatumError, ValueError)):
         B.make_family_datum(g, h, k, pi)
+
+
+@pytest.mark.parametrize(
+    "g,h,k,pi,ok",
+    [
+        (1, 2, 3, (5, 1), False),  # k < h + 2
+        (0, 1, 2, (2, 1, 1), False),  # k < h + 2
+        (0, 1, B.MAX_K + 1, (2 * B.MAX_K, 1, 1), False),  # k > MAX_K
+        (0, 1, 4, (4, 4), False),  # wrong length
+        (0, 1, 4, (5, 2, 2), False),  # wrong sum
+        (0, 1, 3, (3, 1, 2), False),  # not weakly decreasing
+        (0, 1, 4, (6, 2, 0), False),  # a zero part
+        (2, 3, 5, (9, 1), False),  # wrong length for genus 2
+        (0, 0, 2, (3, 1), True),
+        (0, 1, 8, (14, 1, 1), True),
+        (0, 2, 6, (5, 4, 2, 1), True),
+        (1, 1, 3, (6,), True),
+        (1, 2, 4, (7, 1), True),
+        (2, 3, 5, (10,), True),
+        (0, 1, 8, [9, 4, 3], True),  # a list is the same datum
+    ],
+)
+def test_every_route_gives_one_verdict(g, h, k, pi, ok):
+    # make_family_datum, the closed forms and the witnesses ask one rule,
+    # branchdata.check_family_datum, whether (g, h, k, pi) is a family datum.
+    calls = [B.make_family_datum]
+    if (g, h) in B.FORMULA_SHAPES:
+        calls.append(F.nu_for_family)
+    if (g, h) in W.FAMILIES:
+        calls.append(W.enumerate_witnesses)
+    verdicts = {}
+    for call in calls:
+        try:
+            call(g, h, k, pi)
+            verdicts[call.__name__] = True
+        except ValueError:
+            verdicts[call.__name__] = False
+    assert verdicts == dict.fromkeys(verdicts, ok)
 
 
 def test_coincident_partitions_cases():

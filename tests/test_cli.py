@@ -511,6 +511,14 @@ def test_sweep_unwritable_cache_is_io_error(capsys, tmp_path):
     assert "cache write failed" in err
 
 
+def _child_env():
+    """The environment for a child interpreter that imports ``src`` and no cache."""
+    path_entries = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    env.pop(cli.CACHE_ENV, None)
+    return env
+
+
 def _one_gib_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -525,16 +533,32 @@ def test_sweep_cache_that_is_not_a_regular_file_is_io_error(tmp_path, path):
     path = path or str(tmp_path)
     if not os.path.exists(path):
         pytest.skip(f"{path} does not exist on this platform")
-    path_entries = [str(SRC), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
     out = subprocess.run(
         [sys.executable, "-m", "hurwitznum", "sweep", "--max-d", "4", "--cache", path],
-        capture_output=True, text=True, env=env, timeout=20,
+        capture_output=True, text=True, env=_child_env(), timeout=20,
         preexec_fn=_one_gib_address_space,
     )
     assert out.returncode == 4
     assert out.stdout == ""
     assert out.stderr == f"cache read failed: {path}: not a regular file\n"
+
+
+def test_assertions_off_change_nothing():
+    # python -O strips every assert, so no check on a caller's input may be one.
+    def child(*args):
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=_child_env(),
+            timeout=60, check=True,
+        ).stdout
+
+    sweep = ("-m", "hurwitznum", "sweep", "--max-d", "10")
+    assert child("-O", *sweep) == child(*sweep)
+    probe = (
+        "from hurwitznum.witnesses import enumerate_witnesses\n"
+        "try:\n    enumerate_witnesses(1, 2, 3, (5, 1))\n"
+        "except ValueError:\n    print('refused')\n"
+    )
+    assert child("-O", "-c", probe) == "refused\n"
 
 
 def test_cache_line_longer_than_the_limit_is_skipped_unheld(capsys, tmp_path):

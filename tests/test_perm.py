@@ -111,6 +111,13 @@ def test_class_representative():
         assert P.cycle_type(P.class_representative(parts)) == parts
 
 
+@pytest.mark.parametrize("parts", [(), (1, 2), (2, 0)])
+def test_class_functions_reject_non_partitions(parts):
+    for call in (P.class_size, P.class_representative, lambda p: list(P.class_stream(p))):
+        with pytest.raises(ValueError):
+            call(parts)
+
+
 def test_is_transitive():
     assert P.is_transitive([(1, 2, 3, 0)], 4)
     assert not P.is_transitive([(1, 0, 2, 3)], 4)
