@@ -46,12 +46,13 @@ merge keeps, passes.
 A weak move sends each representative to a conjugation orbit, found by its
 form.  Every move is one object, and the cached representatives of a datum
 keep, per move, the list of the indices the move sends them to; a
-convention's count is ``perm.orbit_count`` over the lists of its moves.
-So each image is taken once per datum, whichever conventions are asked and
-in whatever order, and a strong count alone takes none.  Every move is an
-involution up to conjugation (the pure mapping class group of the
-thrice-punctured sphere is trivial), so its images are taken once per pair
-of representatives it exchanges.
+convention's count is ``perm.orbit_count`` over the lists of its moves,
+computed once per datum and convention and kept on the record.  So each
+image is taken once per datum, whichever conventions are asked and in
+whatever order, a strong count alone takes none, and a repeated count is a
+dict lookup.  Every move is an involution up to conjugation (the pure
+mapping class group of the thrice-punctured sphere is trivial), so its
+images are taken once per pair of representatives it exchanges.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ Move = Callable[[Triple], Triple]
 
 
 class _AnchoredReps:
-    __slots__ = ("reps", "forms", "images")
+    __slots__ = ("reps", "forms", "images", "counts")
 
     def __init__(self, reps: tuple[Triple, ...], forms: tuple[Form, ...]) -> None:
         self.reps = reps
@@ -186,6 +187,9 @@ class _AnchoredReps:
         # move(reps[i]); each move's list is filled when a count first needs
         # it, from one image per pair of representatives the move exchanges.
         self.images: dict[Move, tuple[int, ...]] = {}
+        # counts[convention] is the weak count, kept by weak_hurwitz once
+        # it is first asked for.
+        self.counts: dict[WeakConvention, int] = {}
 
 
 def _form(t: Triple) -> Form:
@@ -280,10 +284,13 @@ def _scan_stream(datum: BranchDatum, anchor: int | None = None) -> _AnchoredReps
             candidates = (v for v in P.class_stream(tau_s) if P.cycle_type(times_r(v)) == tau_f)
         # Triples of the row compare first on this slot; S commutes with r.
         first = min(stream, forced)
-        symmetries = [g for g, _ in _purekernels._anchor(lens)[3]]
+        # g p g^-1 is itemgetter(*via(p))(g) with via(p) = p g^-1; S is
+        # empty at d = 1, so no getter has a single index.
+        symmetries = [(g, itemgetter(*ginv)) for g, ginv in _purekernels._anchor(lens)[3]]
         for v in candidates:
             p = v if first == stream else completed(v)[forced]
-            if any(P.conjugate(p, g) < p for g in symmetries) or not P.is_transitive([r, v], d):
+            smaller = any(itemgetter(*via(p))(g) < p for g, via in symmetries)
+            if smaller or not P.is_transitive([r, v], d):
                 continue
             triple = completed(v)
             if __debug__:
@@ -411,11 +418,15 @@ def weak_hurwitz(datum: BranchDatum, convention: WeakConvention, threads: int = 
     """Number of weak equivalence classes under the given convention.
 
     Never larger than the strong count, and zero exactly when it is zero.
+    Computed once per datum and convention and kept on the datum's record.
     ``threads`` has no effect: it is kept for ``perfbench``'s ``deep``
     workload, which passes it, until the next change to that workload.
     """
     info = _anchored_reps(datum)
-    return _weak_orbit_count(datum, info, convention)
+    count = info.counts.get(convention)
+    if count is None:
+        count = info.counts[convention] = _weak_orbit_count(datum, info, convention)
+    return count
 
 
 class _ClassTable:

@@ -13,6 +13,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import permutations as _point_permutations
+from operator import itemgetter
 
 from .branchdata import is_partition
 
@@ -41,7 +42,9 @@ def compose(p: Perm, q: Perm) -> Perm:
     """
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} != {len(q)}")
-    return tuple(p[i] for i in q)
+    if len(q) > 1:
+        return itemgetter(*q)(p)
+    return tuple(p[i] for i in q)  # one index would give itemgetter a bare point
 
 
 def inverse(p: Perm) -> Perm:
@@ -211,19 +214,16 @@ def orbit_count(n: int, maps: Iterable[Sequence[int]]) -> int:
     3
     """
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     orbits = n
     for m in maps:
         for i, j in enumerate(m):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
+            # Walk i and j to their roots, halving each path on the way.
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i != j:
+                parent[i] = j
                 orbits -= 1
     return orbits
 

@@ -313,6 +313,55 @@ def test_representatives_are_frozen():
     )
 
 
+def test_python_branch_representatives_are_frozen():
+    # The representatives of the 305 criterion-09 data with d <= 6 whose
+    # streamed class is not the involutions, so the scan in Python finds
+    # them; frozen from the scan that tested S through P.conjugate.
+    data = []
+    for datum in _criterion_09_data():
+        _, stream, _ = O._choose_slots(datum)
+        if datum.degree <= 6 and datum.partitions[stream] != (2,) * (datum.degree // 2):
+            data.append(datum)
+    blob = repr([
+        (datum.genus, datum.degree, datum.partitions,
+         [t.as_tuple() for t in O.enumerate_triples(datum)])
+        for datum in data
+    ])
+    assert len(data) == 305
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "e79acfc1d8e78cad2d7e116d30c743f58d12b7468f3776921ebef43c062e4eed"
+    )
+
+
+@pytest.mark.parametrize(
+    "datum", [fam(2, 3, 7, (14,)), B.BranchDatum(1, 6, ((5, 1),) * 3)], ids=str
+)
+def test_repeated_calls_do_no_work(monkeypatch, datum):
+    # Each weak count is kept on the datum's record, so asking again takes
+    # no union-find, move image or form; a strong count alone keeps none.
+    monkeypatch.setattr(O, "_REPS_CACHE", {})
+    strong = O.strong_hurwitz(datum)
+    info = O._REPS_CACHE[datum]
+    assert strong == len(info.reps) and info.images == {} and info.counts == {}
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(P, "orbit_count", counted("orbit_count", P.orbit_count))
+    monkeypatch.setattr(O, "_form", counted("_form", O._form))
+    monkeypatch.setattr(O, "_move_images", counted("_move_images", O._move_images))
+    first = [O.weak_hurwitz(datum, c) for c in O.ALL_CONVENTIONS]
+    assert calls.count("orbit_count") == 4 and "_move_images" in calls
+    calls.clear()
+    again = [O.weak_hurwitz(datum, c) for c in reversed(O.ALL_CONVENTIONS)]
+    assert calls == [] and again[::-1] == first
+    assert info.counts == dict(zip(O.ALL_CONVENTIONS, first))
+
+
 def _generic_scan_reference(datum, anchor):
     """(reps, forms) of the generic branch of ``O._scan_stream`` as first
     written: every member of the streamed class is composed with the
