@@ -20,10 +20,11 @@ Partition = tuple[int, ...]
 
 # The largest half-degree k of a family datum.  The datum holds tuples of
 # about k entries and the genus-1 witness enumeration grows like k^2 in time
-# and memory (k = 10^3: 0.8 s and 44 MB for h = 1, 4.4 s and 176 MB for
-# h = 2; k = 10^4, h = 1: 83 s and 3 GB on a 2-vCPU host), so larger k would
-# only exhaust the machine.  The genus-2 enumeration grows like k^4 and has
-# its own, lower bound, witnesses.MAX_GENUS2_K.
+# and memory (at k = 10^3, ``count --method witnesses`` takes 0.4 s and 61 MB
+# peak RSS for h = 1, 3.8 s and 301 MB for h = 2 and pi = [1999, 1], on a
+# 2-vCPU host), so larger k would only exhaust the machine.  The genus-2
+# enumeration grows like k^4 and has its own, lower bound,
+# witnesses.MAX_GENUS2_K.
 MAX_K = 1000
 
 # The (g, h) shapes of the family that the paper's closed forms cover, in
@@ -134,6 +135,7 @@ class BranchDatum(namedtuple("BranchDatum", "genus degree partitions")):
             raise MalformedDatumError(f"negative genus {genus}")
         if degree < 1:
             raise MalformedDatumError(f"degree {degree} is not positive")
+        partitions = tuple(map(tuple, partitions))
         if len(partitions) != 3:
             raise MalformedDatumError(f"expected 3 partitions, got {len(partitions)}")
         for pi in partitions:
@@ -165,9 +167,7 @@ class BranchDatum(namedtuple("BranchDatum", "genus degree partitions")):
     def from_json(obj: "dict | str") -> "BranchDatum":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        return BranchDatum(
-            obj["g"], obj["d"], tuple(tuple(p) for p in obj["partitions"])  # type: ignore[arg-type]
-        )
+        return BranchDatum(obj["g"], obj["d"], obj["partitions"])
 
     def __str__(self) -> str:
         pis = ",".join(format_partition(p) for p in self.partitions)

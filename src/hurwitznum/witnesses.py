@@ -6,7 +6,11 @@ symmetries and a known realized partition.  The genus-0 witnesses are the
 positive solutions of each family's linear system over a fixed list of
 orderings of the partition, deduplicated by the family symmetry, with no
 case analysis.  For the other contexts the parameters are enumerated under
-the constraint imposed by the partition.
+the constraint imposed by the partition.  Each context's walk yields only
+canonical, positive parameter tuples of the right length, already in the
+output order (family in ``FAMILIES`` order, then parameters
+lexicographically), so ``enumerate_witnesses`` builds the witnesses in one
+pass, with no sort and without the public constructor's checks.
 
 Data in which two of the three partitions coincide admit extra graph
 moves that the per-partition enumeration cannot see; for those seven data
@@ -22,6 +26,7 @@ closed formulas apply.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 
 from .branchdata import BranchDatum, Partition, check_family_datum
 
@@ -44,10 +49,11 @@ PARAM_COUNT: dict[Context, int] = {
 }
 
 # The largest k for which the command line lists the genus-2 witnesses.
-# There are about 7k^4/48 of them (k = 30: 0.7 s and 35 MB; k = 40: 2.5 s
-# and 83 MB on a 2-vCPU host), so k = branchdata.MAX_K would only exhaust
-# the machine; this bound keeps the cost under the genus-1 worst case at
-# MAX_K (h = 2: 4.4 s and 176 MB).
+# There are about 7k^4/48 of them (``count --method witnesses`` takes 0.5 s
+# and 60 MB peak RSS at k = 30, 1.9 s and 172 MB at k = 40, on a 2-vCPU
+# host), so k = branchdata.MAX_K would only exhaust the machine; this bound
+# keeps the cost under the genus-1 worst case at MAX_K (h = 2, pi = [1999, 1]:
+# 3.8 s and 301 MB).
 MAX_GENUS2_K = 40
 
 
@@ -87,6 +93,7 @@ class DessinWitness(namedtuple("DessinWitness", "context family params")):
     __slots__ = ()
 
     def __new__(cls, context: Context, family: str, params: tuple[int, ...]) -> DessinWitness:
+        context, params = tuple(context), tuple(params)
         if context not in FAMILIES:
             raise ValueError(f"unsupported context {context}")
         if family not in FAMILIES[context]:
@@ -129,37 +136,37 @@ def realized_partition(w: DessinWitness, k: int) -> Partition:
     """
     if sum(w.params) != k:
         raise ValueError(f"parameters {w.params} must sum to k = {k}")
-    g, h = w.context
-    if w.context == (0, 1):
-        a, b, c = w.params
-        entries = [2 * a + b + c, b, c] if w.family == "I" else [a + b, a + c, b + c]
-    elif w.context == (0, 2):
-        a, b, c, d = w.params
-        if w.family == "I":
+    context, family, params = w
+    if context == (0, 1):
+        a, b, c = params
+        entries = [2 * a + b + c, b, c] if family == "I" else [a + b, a + c, b + c]
+    elif context == (0, 2):
+        a, b, c, d = params
+        if family == "I":
             entries = [2 * a + b + c + d, b, c, d]
-        elif w.family == "II":
+        elif family == "II":
             entries = [2 * a + b + c, c + d, b, d]
         else:
             entries = [a + c + d, b + c, b + d, a]
-    elif w.context == (1, 2):
-        a, b, c, d = w.params
-        if w.family in ("I", "II"):
+    elif context == (1, 2):
+        a, b, c, d = params
+        if family in ("I", "II"):
             entries = [a + 2 * b + 2 * c + 2 * d, a]
-        elif w.family == "III":
+        elif family == "III":
             entries = [2 * a + 2 * b + c + d, c + d]
         else:
             entries = [a + 2 * b + c + d, a + c + d]
     else:
-        entries = [2 * k]
+        return (2 * k,)
     out = tuple(sorted(entries, reverse=True))
     assert sum(out) == 2 * k
     return out
 
 
-def _genus0(k: int, pi: Partition) -> list[DessinWitness]:
+def _genus0(k: int, pi: Partition) -> list[tuple[str, tuple[int, ...]]]:
     """The positive solutions of each family's system over a fixed list of
-    orderings of pi, canonicalised and deduplicated: with repeated parts two
-    orderings can give the same witness."""
+    orderings of pi, canonicalised, deduplicated (with repeated parts two
+    orderings can give the same witness) and sorted: I < II < III."""
     ctx = (0, len(pi) - 2)
     if len(pi) == 3:
         p, q, r = pi
@@ -181,72 +188,55 @@ def _genus0(k: int, pi: Partition) -> list[DessinWitness]:
             ("III", (s, k - q, p + q - k, q + r - k)),
             ("III", (s, k - r, p + r - k, q + r - k)),
         )
-    solutions = {
-        (family, canonical_params(ctx, family, sol))
-        for family, sol in raw
-        if min(sol) > 0
-    }
-    return [DessinWitness(ctx, family, params) for family, params in solutions]
+    return sorted(
+        {(family, canonical_params(ctx, family, sol)) for family, sol in raw if min(sol) > 0}
+    )
 
 
-def _genus1_h1(k: int) -> list[DessinWitness]:
-    out = []
-    for a in range(1, k // 3 + 1):
-        for b in range(a, (k - a) // 2 + 1):
-            c = k - a - b
-            out.append(DessinWitness((1, 1), "II-torus", (c, b, a)))
-    return out
+def _genus1_h1(k: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    # (c, b, a) with c >= b >= a >= 1, the largest part outermost.
+    for c in range((k + 2) // 3, k - 1):
+        for b in range((k - c + 1) // 2, min(c, k - c - 1) + 1):
+            yield "II-torus", (c, b, k - c - b)
 
 
-def _genus1_h2(k: int, pi: Partition) -> list[DessinWitness]:
-    ctx = (1, 2)
+def _genus1_h2(k: int, pi: Partition) -> Iterator[tuple[str, tuple[int, ...]]]:
+    # d runs downwards, so the third parameter runs upwards.
     p = min(pi)
-    out: list[DessinWitness] = []
     for family in ("I", "II"):
-        a = p
         for b in range(1, k - p - 1):
             rest = k - p - b
-            for d in range(1, rest // 2 + 1):
-                out.append(DessinWitness(ctx, family, (a, b, rest - d, d)))
+            for d in range(rest // 2, 0, -1):
+                yield family, (p, b, rest - d, d)
     for a in range(1, k - p):
-        b = k - p - a
-        for d in range(1, p // 2 + 1):
-            out.append(DessinWitness(ctx, "III", (a, b, p - d, d)))
-    b = k - p
-    if b >= 1:
+        for d in range(p // 2, 0, -1):
+            yield "III", (a, k - p - a, p - d, d)
+    if p < k:
         for a in range(1, p - 1):
             rest = p - a
-            for d in range(1, rest // 2 + 1):
-                out.append(DessinWitness(ctx, "IV", (a, b, rest - d, d)))
-    return out
+            for d in range(rest // 2, 0, -1):
+                yield "IV", (a, k - p, rest - d, d)
 
 
-def _genus2_h3(k: int) -> list[DessinWitness]:
-    ctx = (2, 3)
-    out: list[DessinWitness] = []
-    symmetric: list[tuple[int, ...]] = []
-    plain: list[tuple[int, ...]] = []
-    for a in range(1, k - 3):
-        rest = k - a
-        for b in range(1, rest - 2):
-            for c in range(1, rest - b - 1):
-                for d in range(1, rest - b - c):
-                    e = rest - b - c - d
-                    plain.append((a, b, c, d, e))
-                    if (b, c, d, e) <= (c, b, e, d):
-                        symmetric.append((a, b, c, d, e))
-    for family in ("F1", "F2", "F3", "F4", "F5"):
-        for params in symmetric:
-            out.append(DessinWitness(ctx, family, params))
-    for params in plain:
-        out.append(DessinWitness(ctx, "F6", params))
-    return out
+def _genus2_h3(k: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    # F1-F5 keep their canonical form (b, c, d, e) <= (c, b, e, d); F6 all.
+    for family in FAMILIES[(2, 3)]:
+        symmetric = family != "F6"
+        for a in range(1, k - 3):
+            rest = k - a
+            for b in range(1, rest - 2):
+                for c in range(1, rest - b - 1):
+                    for d in range(1, rest - b - c):
+                        e = rest - b - c - d
+                        if not symmetric or b < c or (b == c and d <= e):
+                            yield family, (a, b, c, d, e)
 
 
 def enumerate_witnesses(g: int, h: int, k: int, pi: Partition) -> list[DessinWitness]:
     """Complete duplicate-free list of canonical witnesses realizing pi.
 
-    Ordered by family tag, then lexicographically by parameters.
+    Ordered by family tag, then lexicographically by parameters: the order
+    each context's walk yields them in.
 
     >>> [w.text() for w in enumerate_witnesses(0, 1, 8, (9, 4, 3))]
     ['I(1,4,3)']
@@ -265,17 +255,19 @@ def enumerate_witnesses(g: int, h: int, k: int, pi: Partition) -> list[DessinWit
     check_family_datum(g, h, k, pi)
     pi = tuple(pi)
     if g == 0:
-        out = _genus0(k, pi)
+        walk = _genus0(k, pi)
     elif context == (1, 1):
-        out = _genus1_h1(k)
+        walk = _genus1_h1(k)
     elif context == (1, 2):
-        out = _genus1_h2(k, pi)
+        walk = _genus1_h2(k, pi)
     else:
-        out = _genus2_h3(k)
-    for w in out:
+        walk = _genus2_h3(k)
+    # Plain tuples: a walk yields only what DessinWitness.__new__ accepts.
+    out = []
+    for family, params in walk:
+        w = tuple.__new__(DessinWitness, (context, family, params))
         assert realized_partition(w, k) == pi, (w, pi)
-    families = FAMILIES[context]
-    out.sort(key=lambda w: (families.index(w.family), w.params))
+        out.append(w)
     return out
 
 

@@ -69,13 +69,15 @@ def test_branch_datum_validation():
     with pytest.raises(B.MalformedDatumError):
         B.BranchDatum(0, 4, ((2, 2), (1, 3), (4,)))
     # A datum is an immutable tuple of its fields, and hashes as one, so
-    # set order and cache keys do not depend on its type.
+    # set order and cache keys do not depend on its type; lists are stored
+    # as tuples.
     partitions = ((2, 2), (3, 1), (3, 1))
-    datum = B.BranchDatum(0, 4, partitions)
-    assert datum == (0, 4, partitions)
-    assert hash(datum) == hash((0, 4, partitions))
-    with pytest.raises(AttributeError):
-        datum.genus = 1
+    for given_partitions in (partitions, [[2, 2], [3, 1], [3, 1]]):
+        datum = B.BranchDatum(0, 4, given_partitions)
+        assert datum == (0, 4, partitions)
+        assert hash(datum) == hash((0, 4, partitions))
+        with pytest.raises(AttributeError):
+            datum.genus = 1
 
 
 def test_branch_datum_make_and_replace_validate():

@@ -6,6 +6,7 @@ the reference-table rows mirror the golden files under tests/data.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +207,13 @@ def test_genus2_values():
     assert F.nu_genus2(5).nu == 6
     assert F.nu_genus2(6).nu == 20
     assert F.nu_genus2(7).nu == 60
+
+
+def test_genus2_burnside_form():
+    # F6's C(k - 1, 4) compositions plus F1-F5's classes under the swap of
+    # both middle pairs, 5 * (C(k - 1, 4) + C((k - 1) // 2, 2)) / 2.
+    for k in range(5, B.MAX_K + 1):
+        assert 2 * F.nu_genus2(k).nu == 7 * comb(k - 1, 4) + 5 * comb((k - 1) // 2, 2), k
 
 
 def test_genus2_identities():

@@ -21,11 +21,14 @@ def test_families_inventory():
 
 
 def test_witness_text_and_json():
-    w = W.DessinWitness((0, 1), "I", (5, 2, 1))
-    assert w.text() == "I(5,2,1)"
-    blob = w.to_json()
-    assert blob["family"] == "I"
-    assert tuple(blob["params"]) == (5, 2, 1)
+    # Lists are stored as tuples.
+    for params in ((5, 2, 1), [5, 2, 1]):
+        w = W.DessinWitness((0, 1), "I", params)
+        assert w == ((0, 1), "I", (5, 2, 1))
+        assert w.text() == "I(5,2,1)"
+        blob = w.to_json()
+        assert blob["family"] == "I"
+        assert tuple(blob["params"]) == (5, 2, 1)
 
 
 def test_witness_validation():
@@ -162,6 +165,8 @@ def test_witnesses_sorted_and_canonical(g, h):
             assert keys == sorted(keys)
             for w in ws:
                 assert w.params == W.canonical_params((g, h), w.family, w.params)
+                # The walk builds witnesses past the constructor's checks.
+                assert W.DessinWitness(*w) == w
 
 
 @pytest.mark.parametrize("g,h", sorted(W.FAMILIES))
